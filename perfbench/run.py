@@ -2,7 +2,7 @@
 
 Usage (from the root of a checkout)::
 
-    python3 perfbench/run.py --workload table1-cell --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload table1-cell --seed 1 --seconds 30 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics with nothing instrumented;
 ``--trace 1`` runs the workload's digest prefix twice in fresh
@@ -35,10 +35,11 @@ BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 sys.path.insert(0, str(BENCH_DIR))
 
+import hostspeed  # noqa: E402
 import service  # noqa: E402
 from workloads import WORKLOADS, cells_per_job, digest  # noqa: E402
 
-#: Setup samples per run (the work process itself adds one for simulations).
+#: Setup samples per run (the work process or measured server adds one).
 SETUP_PROBES = 2
 #: Instances re-run solo after the timed loop.
 VERIFY_INSTANCES = 3
@@ -71,6 +72,8 @@ LAYER_METRICS = [
     ("experiments.tracebank", True),
     ("experiments.store_append", True),
 ]
+#: Raw wall-clock figures printed beside the rescaled metrics.
+WALL_REPORT = ["wall_slots_per_s", "wall_job_latency_s_p50", "kernel_ms_p50"]
 SERVICE_METRICS = ["submit_s", "status_s", "queue_wait_s", "run_s", "notify_lag_s"]
 
 
@@ -181,6 +184,22 @@ def check_digest(workload: str, seed: int, value: str) -> list:
 # ----------------------------------------------------------------------
 # Simulation workloads
 # ----------------------------------------------------------------------
+def timing_metrics(timed: list) -> dict:
+    """Medians over the timed simulation jobs, in reference and wall seconds.
+
+    Each job is rescaled by the calibrations taken just before and after it
+    (see ``hostspeed``).
+    """
+    latency = [hostspeed.reference_seconds(j["latency_s"], *j["kernel_s"]) for j in timed]
+    return {
+        "slots_per_s": median([j["slots"] / seconds for j, seconds in zip(timed, latency)]),
+        "job_latency_s_p50": median(latency),
+        "wall_slots_per_s": median([j["slots"] / j["latency_s"] for j in timed]),
+        "wall_job_latency_s_p50": median([j["latency_s"] for j in timed]),
+        "kernel_ms_p50": 1e3 * median([sum(j["kernel_s"]) / 2 for j in timed]),
+    }
+
+
 def sim_end_to_end(args, env, run_dir, report) -> dict:
     setups = [
         simwork(env, "setup", "--workload", args.workload, "--seed", str(args.seed))[0]
@@ -207,11 +226,14 @@ def sim_end_to_end(args, env, run_dir, report) -> dict:
         + len(mismatches)
         + min(1, len(digest_errors))
     )
-    slots = sum(job["slots"] for job in done)
+    timed = [job for job in done if job["timed"]]
+    timing = timing_metrics(timed)
     report.update(
-        jobs=len(jobs), heuristic_slots=slots, instances=sum(j["instances"] for j in done),
+        jobs=len(jobs), timed_jobs=len(timed), heuristic_slots=sum(j["slots"] for j in timed),
+        instances=sum(j["instances"] for j in done),
         prefix_digest=result["prefix_digest"], setup_samples=setups,
         solo_checked=result["verify"]["checked"],
+        **{name: timing[name] for name in WALL_REPORT},
     )
     return {
         "errors": errors,
@@ -219,8 +241,8 @@ def sim_end_to_end(args, env, run_dir, report) -> dict:
         "failed": failed,
         "metrics": {
             "setup_s": (median(setups), "s"),
-            "slots_per_s": (slots / sum(job["latency_s"] for job in done), "1/s"),
-            "job_latency_s_p50": (median([job["latency_s"] for job in done]), "s"),
+            "slots_per_s": (timing["slots_per_s"], "1/s"),
+            "job_latency_s_p50": (timing["job_latency_s_p50"], "s"),
             "rss_peak_mb": (result["rss_peak_mb"], "MB"),
             "ok_ratio": (1.0 - failed / attempted, "ratio"),
         },
@@ -238,7 +260,11 @@ def sim_traced(args, env, run_dir, report) -> dict:
     errors += check_digest(args.workload, args.seed, traced["prefix_digest"])
     table = traced["layers"]
     metrics = layer_metrics(table, traced["calls"], traced["counters"])
-    metrics["trace.overhead_ratio"] = (traced["wall_s"] / plain["wall_s"], "ratio")
+    metrics["trace.overhead_ratio"] = (
+        hostspeed.reference_seconds(traced["wall_s"], traced["kernel_s"])
+        / hostspeed.reference_seconds(plain["wall_s"], plain["kernel_s"]),
+        "ratio",
+    )
     metrics["trace.unattributed_share"] = (table["unattributed"] / traced["wall_s"], "ratio")
     report.update(
         untraced_wall_s=plain["wall_s"], traced_wall_s=traced["wall_s"],
@@ -285,7 +311,7 @@ def service_verify(env, run_dir, seed, prefix_jobs, errors) -> int:
 
 def service_end_to_end(args, env, run_dir, report) -> dict:
     setups = []
-    for probe in range(SETUP_PROBES - 1):
+    for probe in range(SETUP_PROBES):
         server = start_server(run_dir, f"probe{probe}", env)
         setups.append(server.setup_s)
         server.stop()
@@ -305,13 +331,13 @@ def service_end_to_end(args, env, run_dir, report) -> dict:
     errors += check_digest(args.workload, args.seed, prefix_digest)
     checked = service_verify(env, run_dir, args.seed, loop["prefix"], errors)
     jobs = loop["jobs"]
-    done = [job for job in jobs if not job["failed"]]
-    slots = sum(job["slots"] for job in done)
+    timed = [job for job in jobs if job.get("timed") and not job["failed"]]
     attempted = len(jobs) + loop["requests"] + checked + 1
     failed = len(errors)
     report.update(
-        jobs=len(jobs), heuristic_slots=slots, prefix_digest=prefix_digest,
-        setup_samples=setups, solo_checked=checked, max_workers=sampler.max_workers,
+        jobs=len(jobs), timed_jobs=len(timed), heuristic_slots=sum(j["slots"] for j in timed),
+        prefix_digest=prefix_digest, setup_samples=setups, solo_checked=checked,
+        max_workers=sampler.max_workers,
         job_latencies_s=[round(job["latency_s"], 4) for job in jobs],
     )
     return {
@@ -320,11 +346,10 @@ def service_end_to_end(args, env, run_dir, report) -> dict:
         "failed": failed,
         "metrics": {
             "setup_s": (median(setups), "s"),
-            # Per second of the jobs' own runs (started -> finished in the job
-            # documents): the submit-to-done wall is mostly worker start-up,
-            # and one job's run is too short to time on its own.
-            "slots_per_s": (slots / sum(job["run_s"] for job in done), "1/s"),
-            "job_latency_s_p50": (median([job["latency_s"] for job in done]), "s"),
+            # Per second of each job's own run (started -> finished in the job
+            # document): the submit-to-done wall is mostly worker start-up.
+            "slots_per_s": (median([job["slots"] / job["run_s"] for job in timed]), "1/s"),
+            "job_latency_s_p50": (median([job["latency_s"] for job in timed]), "s"),
             "rss_peak_mb": (rss_mb, "MB"),
             "ok_ratio": (1.0 - failed / attempted, "ratio"),
         },

@@ -22,7 +22,7 @@ import urllib.request
 from pathlib import Path
 from typing import Dict, List, Optional
 
-from workloads import WORKLOADS, check_record, heuristic_slots, job_spec, stable_rows
+from workloads import WARMUP_JOBS, WORKLOADS, check_record, heuristic_slots, job_spec, stable_rows
 
 #: Client status-poll period (seconds); bounds the notify lag it adds.
 POLL_S = 0.05
@@ -64,8 +64,11 @@ class Server:
         ]
         start = time.perf_counter()
         with open(log, "ab") as handle:
+            # stop() shuts the server down with SIGINT, which a shell leaves
+            # ignored in the commands it starts in the background.
             self.proc = subprocess.Popen(
-                command, stdout=handle, stderr=subprocess.STDOUT, env=env
+                command, stdout=handle, stderr=subprocess.STDOUT, env=env,
+                preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL),
             )
         try:
             while True:
@@ -151,7 +154,8 @@ class RssSampler(threading.Thread):
 
 
 def client_loop(server: Server, seed: int, seconds: float, jobs: Optional[int] = None) -> dict:
-    """Closed loop until *seconds* passed and the digest prefix is done.
+    """Closed loop: the warm-up job(s), then jobs until *seconds* passed and
+    the digest prefix is done.
 
     ``jobs`` runs exactly that many jobs instead.  Returns per-job
     measurements, the prefix jobs' results and every error seen.
@@ -170,9 +174,13 @@ def client_loop(server: Server, seed: int, seconds: float, jobs: Optional[int] =
         return payload, seconds_taken
 
     begin = time.perf_counter()
-    deadline = begin + seconds
+    deadline = None
     index = 0
-    while index < minimum or (jobs is None and time.perf_counter() < deadline):
+    while index < minimum or (
+        jobs is None and (deadline is None or time.perf_counter() < deadline)
+    ):
+        if index == WARMUP_JOBS:
+            deadline = time.perf_counter() + seconds
         mapping = job_spec(workload, seed, index)
         start = time.perf_counter()
         accepted, submit_s = call("POST", "/campaigns", {"spec": mapping})
@@ -192,7 +200,10 @@ def client_loop(server: Server, seed: int, seconds: float, jobs: Optional[int] =
         latency = time.perf_counter() - start
         cells, cells_s = call("GET", location + "/cells?limit=1000")
         failed = document is None or document["status"] != "completed" or cells is None
-        job = {"latency_s": latency, "submit_s": submit_s, "cells_s": cells_s, "failed": failed}
+        job = {
+            "latency_s": latency, "submit_s": submit_s, "cells_s": cells_s,
+            "failed": failed, "timed": index >= WARMUP_JOBS,
+        }
         if failed:
             out["errors"].append(f"job {index}: {document and document.get('error')}")
         else:

@@ -5,8 +5,9 @@ Modes (one JSON object on the last stdout line unless noted):
 ``setup``   import ``repro.api`` and resolve the first job's spec, print
             ``READY`` and exit (one ``setup_s`` sample).
 ``work``    the same set-up, ``READY``, then run simulation jobs in order
-            through ``api.sweep`` until ``--seconds`` have passed and at
-            least the workload's digest prefix is done; ``--jobs N`` runs
+            through ``api.sweep``: the warm-up job(s), then more jobs until
+            ``--seconds`` have passed and at least the workload's digest
+            prefix is done; ``--jobs N`` runs
             exactly N jobs instead.  ``--trace`` installs the layer
             wrappers (:mod:`layers`) around the job loop.  After the timed
             loop, ``--verify N`` re-runs N seed-chosen instances solo.
@@ -25,11 +26,14 @@ import json
 import random
 import resource
 import shutil
+import statistics
 import sys
 import time
 from pathlib import Path
 
+import hostspeed
 from workloads import (
+    WARMUP_JOBS,
     WORKLOADS,
     cells_per_job,
     check_record,
@@ -50,6 +54,41 @@ def _emit(payload: dict) -> None:
     print(json.dumps(payload), flush=True)
 
 
+def run_job(workload: str, seed: int, index: int, run_dir: Path, errors: list) -> dict:
+    """Run job *index* through ``api.sweep`` and check every instance."""
+    config = WORKLOADS[workload]
+    mapping = job_spec(workload, seed, index)
+    store = run_dir / "stores" / f"j{index}" if config["store"] else None
+    start = time.perf_counter()
+    try:
+        result = api.sweep(CampaignSpec.from_dict(mapping), store=store)
+    except Exception as error:  # noqa: BLE001 - a failed job is reported, not fatal
+        errors.append(f"job {index}: {type(error).__name__}: {error}")
+        return {"latency_s": time.perf_counter() - start, "failed": True, "timed": False}
+    latency = time.perf_counter() - start
+    records = [instance.as_dict() for instance in result.results]
+    expected = cells_per_job(workload)
+    problems = [] if len(records) == expected else [f"{len(records)} of {expected} cells"]
+    bad = max(0, expected - len(records))
+    for record in records:
+        issues = check_record(record, mapping)
+        bad += bool(issues)
+        problems.extend(issues)
+    if problems:
+        errors.append(f"job {index}: " + "; ".join(problems[:3]))
+    return {
+        "latency_s": latency,
+        "slots": heuristic_slots(records, mapping["makespan_cap"]),
+        "instances": len(records),
+        "bad": bad,
+        "timed": index >= WARMUP_JOBS,
+        "rows": stable_rows(records),
+        "store_bytes": (
+            sum(path.stat().st_size for path in store.iterdir()) if store is not None else 0
+        ),
+    }
+
+
 def run_jobs(args) -> dict:
     config = WORKLOADS[args.workload]
     run_dir = Path(args.run_dir)
@@ -64,46 +103,29 @@ def run_jobs(args) -> dict:
     minimum = args.jobs if args.jobs is not None else config["prefix"]
     store_bytes = 0
     begin = time.perf_counter()
-    deadline = begin + args.seconds
+    # Calibrations bracket every job; their own time is left out of the wall.
+    kernel_before = hostspeed.calibrate()
+    kernels = [kernel_before]
+    deadline = None
     index = 0
-    while index < minimum or (args.jobs is None and time.perf_counter() < deadline):
-        mapping = job_spec(args.workload, args.seed, index)
-        store = run_dir / "stores" / f"j{index}" if config["store"] else None
-        start = time.perf_counter()
-        try:
-            result = api.sweep(CampaignSpec.from_dict(mapping), store=store)
-        except Exception as error:  # noqa: BLE001 - a failed job is reported, not fatal
-            errors.append(f"job {index}: {type(error).__name__}: {error}")
-            jobs.append({"latency_s": time.perf_counter() - start, "failed": True})
-            index += 1
-            continue
-        latency = time.perf_counter() - start
-        records = [instance.as_dict() for instance in result.results]
-        expected = cells_per_job(args.workload)
-        problems = [] if len(records) == expected else [f"{len(records)} of {expected} cells"]
-        bad = max(0, expected - len(records))
-        for record in records:
-            issues = check_record(record, mapping)
-            bad += bool(issues)
-            problems.extend(issues)
-        if problems:
-            errors.append(f"job {index}: " + "; ".join(problems[:3]))
-        if store is not None:
-            store_bytes += sum(path.stat().st_size for path in store.iterdir())
-        jobs.append(
-            {
-                "latency_s": latency,
-                "slots": heuristic_slots(records, mapping["makespan_cap"]),
-                "instances": len(records),
-                "bad": bad,
-                "rows": stable_rows(records),
-            }
-        )
+    while index < minimum or (
+        args.jobs is None and (deadline is None or time.perf_counter() < deadline)
+    ):
+        if index == WARMUP_JOBS:
+            deadline = time.perf_counter() + args.seconds
+        job = run_job(args.workload, args.seed, index, run_dir, errors)
+        store_bytes += job.pop("store_bytes", 0)
+        kernel_after = hostspeed.calibrate()
+        kernels.append(kernel_after)
+        job["kernel_s"] = [kernel_before, kernel_after]
+        kernel_before = kernel_after
+        jobs.append(job)
         index += 1
-    wall = time.perf_counter() - begin
+    wall = time.perf_counter() - begin - sum(kernels)
     rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     out = {
         "wall_s": wall,
+        "kernel_s": statistics.median(kernels),
         "rss_peak_mb": rss_mb,
         "errors": errors,
         "jobs": [{k: v for k, v in job.items() if k != "rows"} for job in jobs],

@@ -19,43 +19,50 @@ ALL_17 = [
     "Y-IP", "Y-IE", "Y-IY", "Y-IAY",
 ]
 
+#: The first ``WARMUP_JOBS`` jobs of a run are checked and digested but
+#: not timed: ``--seconds`` and the timing metrics start after them.
+WARMUP_JOBS = 1
+
 #: Per workload: the grid point and heuristics of one job, and ``prefix``,
 #: the number of leading jobs every run completes whatever ``--seconds``
 #: says.  Digests and work counters cover exactly that prefix, so they
 #: repeat between runs of one seed while the timed loop fills the run.
 WORKLOADS: Dict[str, dict] = {
     # One paper Table I cell point (m=5, ncom=10, wmin=1), all 17
-    # heuristics, the paper's 1M cap.  A job spans 4 platforms (1 paired
-    # trial each): job cost follows the platform draw, and averaging 4
-    # draws per job keeps the per-run median latency steady across seeds.
+    # heuristics, the paper's 1M cap.  A job is one platform and one paired
+    # trial (about 0.5 s): job cost follows the platform draw, so a run
+    # takes its medians over many small jobs rather than a few large ones.
     "table1-cell": {
         "grid": {"m_values": [5], "ncom_values": [10], "wmin_values": [1]},
         "heuristics": ALL_17,
-        "scenarios_per_cell": 4,
+        "scenarios_per_cell": 1,
         "trials_per_scenario": 1,
         "makespan_cap": 1_000_000,
         "store": True,
-        "prefix": 4,
+        "prefix": 8,
     },
     # The passive-contract heuristics the one-pass driver advances in
     # lockstep, on the slow wmin=10 point where RANDOM runs to the cap.
     # At the paper's 1M cap one trial costs 0.2M-4.4M heuristic-slots
     # depending on the seed, more than a whole run.  The 20k cap bounds a
-    # trial at 100k slots, so a run averages over ~40 platform draws.
+    # trial at 100k slots; a job is one platform and one trial (about
+    # 0.6 s), so a run takes its medians over ~50 platform draws.
     "passive-long": {
         "grid": {"m_values": [5], "ncom_values": [10], "wmin_values": [10]},
         "heuristics": ["RANDOM", "IP", "IE", "IY", "IAY"],
-        "scenarios_per_cell": 4,
+        "scenarios_per_cell": 1,
         "trials_per_scenario": 1,
         "makespan_cap": 20_000,
         "store": False,
-        "prefix": 4,
+        "prefix": 8,
     },
-    # One table1-cell grid point, 1 x 1, four heuristics, per service job.
+    # One table1-cell grid point, four heuristics, per service job.  Four
+    # platforms (1 trial each) make the job's run about 0.7 s, long enough
+    # to time its simulation rate from the job document.
     "service-roundtrip": {
         "grid": {"m_values": [5], "ncom_values": [10], "wmin_values": [1]},
         "heuristics": ["IE", "RANDOM", "P-IE", "Y-IE"],
-        "scenarios_per_cell": 1,
+        "scenarios_per_cell": 4,
         "trials_per_scenario": 1,
         "makespan_cap": 1_000_000,
         "store": True,
