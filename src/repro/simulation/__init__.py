@@ -18,12 +18,7 @@ The engine advances slot by slot:
    over and the makespan is reported.
 """
 
-from repro.simulation.engine import (
-    BLOCK_BOUNDARY,
-    SAMPLERS,
-    SimulationEngine,
-    simulate,
-)
+from repro.simulation.engine import BLOCK_BOUNDARY, SimulationEngine, simulate
 from repro.simulation.events import EventKind, SimulationEvent
 from repro.simulation.gantt import render_gantt
 from repro.simulation.kernels import HAVE_NUMBA, kernel_backend
@@ -34,7 +29,6 @@ from repro.simulation.state import WorkerRuntime
 __all__ = [
     "SimulationEngine",
     "simulate",
-    "SAMPLERS",
     "BLOCK_BOUNDARY",
     "MultiHeuristicDriver",
     "SharedBlockSource",

@@ -26,33 +26,26 @@ Availability is consumed in *blocks*: worker states are prefetched into an
 :meth:`~repro.availability.model.AvailabilityModel.sample_block` vectorised
 samplers (or by slicing the replay trace).  Because every worker owns an
 independent generator stream, block sampling consumes exactly the same draws
-as the historical slot-by-slot sampling, so fixed seeds reproduce the same
-trajectories bit for bit; ``sampler="perslot"`` keeps the legacy
-``next_state`` driver around for differential testing.
+as slot-by-slot ``next_state`` sampling, so fixed seeds reproduce the same
+trajectories bit for bit.
 
-Two further optimisations exploit the declared behaviour of schedulers whose
-:attr:`~repro.scheduling.base.Scheduler.passive_between_rebuilds` flag is
-set (they return the carried-over configuration whenever
-``Observation.needs_new_configuration()`` is false):
+Schedulers whose :attr:`~repro.scheduling.base.Scheduler.passive_between_rebuilds`
+flag is set (they return the carried-over configuration whenever
+``Observation.needs_new_configuration()`` is false) let the engine skip the
+per-slot :class:`Observation`/``select`` round-trip on slots where the
+contract pins the decision, and jump over uneventful spans with the
+primitives of :mod:`repro.simulation.kernels`: a per-worker next-change
+table turns the uneventful-span search into an O(#enrolled) lookup, a
+communication phase with a channel for every enrolled worker collapses to
+per-worker cumulative-UP searches, and the computation phase jumps straight
+over UP/RECLAIMED flicker to the first enrolled DOWN transition or the
+iteration's completing slot.  Only the enrolled workers' runtime states are
+synchronised per event.  The primitives are numba-compiled when numba is
+importable (``REPRO_NO_NUMBA=1`` forces the pure-NumPy fallback).
 
-* the per-slot :class:`Observation`/``select`` round-trip is skipped on
-  slots where the contract pins the decision;
-* during the computation phase the engine scans the prefetched block for the
-  first slot at which a *relevant* worker changes state and fast-forwards
-  the intervening uneventful slots in one step.
-
-Both short-cuts are exact: they change neither the trajectory nor any
-counter of the run (golden-seed tests pin this down).
-
-``sampler="kernel"`` layers the primitives of
-:mod:`repro.simulation.kernels` on top of the block driver: a per-worker
-next-change table turns the uneventful-span search into an O(#enrolled)
-lookup, the computation phase jumps straight over UP/RECLAIMED flicker to
-the first enrolled DOWN transition or the iteration's completing slot, and
-only the enrolled workers' runtime states are synchronised per event.  The
-primitives are numba-compiled when numba is importable (``REPRO_NO_NUMBA=1``
-forces the pure-NumPy fallback); either way the trajectory is bit-identical
-to the ``block`` and ``perslot`` drivers.
+The jumps are exact: they change neither the trajectory nor any counter of
+the run.  Recording events or activity turns every jump off, which gives the
+slot-by-slot reference run the golden-seed tests compare against.
 
 Decision points are exposed as an explicit step iterator: :meth:`run` is a
 thin driver over :meth:`SimulationEngine.steps`, which yields an
@@ -72,7 +65,6 @@ import numpy as np
 from repro.analysis.cache import AnalysisContext
 from repro.application.application import Application
 from repro.application.configuration import Configuration
-from repro.availability.model import AvailabilityModel
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform.platform import Platform
@@ -91,10 +83,7 @@ from repro.telemetry.tracer import active_tracer
 from repro.types import DOWN, RECLAIMED, UP, ProcessorState
 from repro.utils.rng import SeedLike, derive_run_streams
 
-__all__ = ["SimulationEngine", "simulate", "SAMPLERS", "BLOCK_BOUNDARY"]
-
-#: The availability drivers understood by :class:`SimulationEngine`.
-SAMPLERS = ("block", "kernel", "perslot")
+__all__ = ["SimulationEngine", "simulate", "BLOCK_BOUNDARY"]
 
 #: Sentinel yielded by cooperative :meth:`SimulationEngine.steps` iterations
 #: right before a new availability block is fetched, so a multi-engine
@@ -118,10 +107,6 @@ ACTIVITY_COMPUTE = "C"
 #: Cheap int -> singleton lookup for the three processor states.
 _STATE_OF_CODE = (UP, RECLAIMED, DOWN)
 _DOWN_CODE = int(DOWN)
-
-#: Idle (reclaimed) stretches are fast-forwarded at most this many slots per
-#: scan so the column comparison stays O(scan limit), not O(block size²).
-_IDLE_SCAN_LIMIT = 256
 
 
 class SimulationEngine:
@@ -152,15 +137,6 @@ class SimulationEngine:
         recomputing the Markov machinery.
     block_size:
         Number of slots of worker states prefetched per availability block.
-    sampler:
-        ``"block"`` (default) drives the models through their vectorised
-        :meth:`sample_block`; ``"kernel"`` adds the accelerated span
-        primitives of :mod:`repro.simulation.kernels` on top of the block
-        driver (numba-compiled when available); ``"perslot"`` retains the
-        legacy ``next_state``-per-slot driver.  All three produce identical
-        trajectories for a given seed (the models' block samplers are
-        stream-equivalent by contract and the kernel span jumps are exact);
-        the switch exists for differential tests and benchmarks.
     shared_blocks:
         Optional :class:`~repro.simulation.multirun.SharedBlockSource`
         serving aligned availability windows (with their derived masks and
@@ -169,7 +145,8 @@ class SimulationEngine:
         :class:`~repro.simulation.multirun.MultiHeuristicDriver`; mutually
         exclusive with *trace* (the source owns the availability).
     record_events:
-        Keep a structured event log (off by default).
+        Keep a structured event log (off by default).  Turns every span
+        jump off, so each slot is processed one by one.
     record_activity:
         Keep per-worker per-slot activity and state matrices, enabling Gantt
         rendering (off by default; memory grows with the makespan).
@@ -199,7 +176,6 @@ class SimulationEngine:
         trace: Optional[AvailabilityTrace] = None,
         analysis: Optional[AnalysisContext] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        sampler: str = "block",
         shared_blocks=None,
         record_events: bool = False,
         record_activity: bool = False,
@@ -210,11 +186,6 @@ class SimulationEngine:
             raise SimulationError(f"max_slots must be >= 1, got {max_slots}")
         if block_size < 1:
             raise SimulationError(f"block_size must be >= 1, got {block_size}")
-        if sampler not in SAMPLERS:
-            raise SimulationError(
-                f"unknown sampler {sampler!r}; available samplers: "
-                + ", ".join(SAMPLERS)
-            )
         if shared_blocks is not None and trace is not None:
             raise SimulationError(
                 "shared_blocks and trace are mutually exclusive; give the "
@@ -232,14 +203,12 @@ class SimulationEngine:
         self.max_slots = int(max_slots)
         self.trace = trace
         self.block_size = int(block_size)
-        self.sampler = sampler
         self.analysis = analysis if analysis is not None else AnalysisContext(platform)
         self.events = EventLog(enabled=record_events)
         self.record_activity = bool(record_activity)
         self.metrics = metrics
         self.tracer = active_tracer(tracer)
         self._shared_blocks = shared_blocks
-        self._kernel = sampler == "kernel"
         #: Result of the most recently completed run (also the
         #: ``StopIteration`` value of an exhausted :meth:`steps` iterator).
         self.last_result: Optional[SimulationResult] = None
@@ -275,12 +244,10 @@ class SimulationEngine:
         # loop does O(1) lookups instead of O(m) array scans:
         # _block_down[j]  — does column j contain a DOWN worker?
         # _block_same[j]  — is column j identical to column j - 1?
-        # _block_changes  — sorted positions j with _block_same[j] False.
-        # _block_data bundles all of it (plus the kernel sampler's lazy
-        # next-change table) so block sources can share one copy.
+        # _block_data bundles both (plus the lazy next-change table) so
+        # block sources can share one copy.
         self._block_down: Optional[np.ndarray] = None
         self._block_same: Optional[np.ndarray] = None
-        self._block_changes: Optional[np.ndarray] = None
         self._block_data: Optional[BlockData] = None
         self.activity_matrix: Optional[np.ndarray] = None
         self.state_matrix: Optional[np.ndarray] = None
@@ -288,14 +255,6 @@ class SimulationEngine:
     # ------------------------------------------------------------------
     # Availability driving (chunked prefetch)
     # ------------------------------------------------------------------
-    def _states_at(self, slot: int) -> np.ndarray:
-        """The state column of *slot*, prefetching the next block if needed."""
-        offset = slot - self._block_start
-        if self._block is None or offset >= self._block_len:
-            self._fetch_block(slot)
-            offset = slot - self._block_start
-        return self._block[:, offset]
-
     def _fetch_block(self, start: int) -> None:
         """Materialise worker states for slots ``[start, start + block)``."""
         tracer = self.tracer
@@ -351,8 +310,8 @@ class SimulationEngine:
                     state = model.initial_state(rng)
                     block[worker_id, 0] = int(state)
                     if length > 1:
-                        block[worker_id, 1:] = self._sample_worker(
-                            model, 1, length - 1, rng, state
+                        block[worker_id, 1:] = model.sample_block(
+                            1, length - 1, rng, current=state
                         )
             else:
                 # The base chains continue from the *raw* sampled states: a
@@ -367,12 +326,11 @@ class SimulationEngine:
                     else self._block[:, -1]
                 )
                 for worker_id, processor in enumerate(self.platform.processors):
-                    block[worker_id] = self._sample_worker(
-                        processor.availability,
+                    block[worker_id] = processor.availability.sample_block(
                         start,
                         length,
                         self._availability_rngs[worker_id],
-                        ProcessorState(int(previous[worker_id])),
+                        current=ProcessorState(int(previous[worker_id])),
                     )
             if self._hazard is not None:
                 # Platform-level overlay (correlated outages, churn): applied
@@ -392,30 +350,12 @@ class SimulationEngine:
         self._block_len = data.length
         self._block_down = data.down
         self._block_same = data.same
-        self._block_changes = data.changes
         self._block_data = data
         if self.metrics is not None:
             # Every availability block of a run funnels through here (model
             # sampling, trace replay and shared windows alike), so this is
             # where the collector sees exact pool states.
             self.metrics.on_block(start, data.block)
-
-    def _frozen_run(self, offset: int) -> int:
-        """Slots after block-relative *offset* whose column equals column *offset*."""
-        changes = self._block_changes
-        index = int(np.searchsorted(changes, offset, side="right"))
-        next_change = int(changes[index]) if index < changes.size else self._block_len
-        return next_change - offset - 1
-
-    def _sample_worker(self, model, start_slot, horizon, rng, current) -> np.ndarray:
-        if self.sampler != "perslot":
-            return model.sample_block(start_slot, horizon, rng, current=current)
-        # Legacy driver: the base class's slot-by-slot next_state loop,
-        # invoked unbound so model overrides cannot shadow the reference
-        # semantics the "perslot" mode exists to compare against.
-        return AvailabilityModel.sample_block(
-            model, start_slot, horizon, rng, current=current
-        )
 
     # ------------------------------------------------------------------
     # Main loop
@@ -498,13 +438,12 @@ class SimulationEngine:
         # requires that no per-slot record (events/activity) is kept.
         contract = bool(getattr(self.scheduler, "passive_between_rebuilds", False))
         can_fast_forward = contract and not self.events.enabled and not self.record_activity
-        # The kernel sampler synchronises only the *enrolled* workers'
-        # runtime states per column: nothing in the engine reads the state
-        # of a non-enrolled worker (observations and selection checks use
-        # the raw state column; offline program-holder failures read the
-        # block directly).  Newly enrolled workers are synchronised at the
-        # configuration change that enrols them.
-        kernel = self._kernel
+        # Only the *enrolled* workers' runtime states are synchronised per
+        # column: nothing in the engine reads the state of a non-enrolled
+        # worker (observations and selection checks use the raw state
+        # column; offline program-holder failures read the block directly).
+        # Newly enrolled workers are synchronised at the configuration
+        # change that enrols them.
 
         current_config = Configuration.empty()
         enrolled_runtimes: List[WorkerRuntime] = []
@@ -538,7 +477,7 @@ class SimulationEngine:
                 rel = slot - self._block_start
             states = self._block[:, rel]
             if states_dirty or not self._block_same[rel]:
-                for runtime in enrolled_runtimes if kernel else runtimes:
+                for runtime in enrolled_runtimes:
                     runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
                 states_dirty = False
             if self.record_activity:
@@ -644,11 +583,10 @@ class SimulationEngine:
                 enrolled_ids = np.fromiter(
                     current_config.workers, dtype=np.intp, count=len(enrolled_runtimes)
                 )
-                if kernel:
-                    # Newly enrolled workers may carry a stale state under
-                    # the enrolled-only synchronisation; refresh the set.
-                    for runtime in enrolled_runtimes:
-                        runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
+                # Newly enrolled workers may carry a stale state under the
+                # enrolled-only synchronisation; refresh the set.
+                for runtime in enrolled_runtimes:
+                    runtime.state = _STATE_OF_CODE[states[runtime.worker_id]]
 
             # ---- 4. run the slot ---------------------------------------
             feasible = (
@@ -663,11 +601,7 @@ class SimulationEngine:
                 comm_remaining = 0
                 for runtime in enrolled_runtimes:
                     comm_remaining += runtime.comm_slots_remaining(tprog, tdata)
-                if comm_remaining and (
-                    kernel
-                    and can_fast_forward
-                    and len(enrolled_runtimes) <= ncom
-                ):
+                if comm_remaining and can_fast_forward and len(enrolled_runtimes) <= ncom:
                     # ---- whole-phase jump (capacity surplus) ------------
                     # With a channel for every enrolled worker the sticky
                     # policy serves each needing UP worker on every slot,
@@ -736,23 +670,13 @@ class SimulationEngine:
                         # until the transfers complete, and the sticky
                         # channel allocation only changes when a transfer
                         # finishes.  Drain whole grant intervals event by
-                        # event.  The scan window is bounded by the work
-                        # actually left (plus one slot of slack for stalls).
+                        # event.  The window ends at the first enrolled state
+                        # change, the block end or the work actually left.
                         begin = time.perf_counter_ns() if tracer is not None else 0
-                        if kernel:
-                            nc_span = frozen_span(
-                                self._block_data.ensure_next_change(),
-                                enrolled_ids,
-                                rel,
-                            )
-                            span = min(
-                                self._block_len - rel - 1, comm_remaining, nc_span
-                            )
-                        else:
-                            span, _ = self._scan_uneventful(
-                                rel, enrolled_ids,
-                                min(comm_remaining + 1, _IDLE_SCAN_LIMIT),
-                            )
+                        frozen = frozen_span(
+                            self._block_data.ensure_next_change(), enrolled_ids, rel
+                        )
+                        span = min(self._block_len - rel - 1, comm_remaining, frozen)
                         consumed = self._comm.drain(
                             enrolled_runtimes, span, tprog=tprog, tdata=tdata
                         )
@@ -818,62 +742,37 @@ class SimulationEngine:
                     elif can_fast_forward and not failure:
                         # ---- fast-forward uneventful compute/idle slots --
                         begin = time.perf_counter_ns() if tracer is not None else 0
-                        if kernel:
-                            # Jump straight over UP/RECLAIMED flicker to the
-                            # first enrolled DOWN transition, the iteration's
-                            # completing slot, or the block end — whichever
-                            # comes first — splitting the consumed span into
-                            # compute (all-UP) and idle columns.
-                            advance, progressed = compute_span(
-                                self._block,
-                                enrolled_ids,
-                                rel,
-                                self._block_len,
-                                workload - progress,
-                            )
-                            if advance > 0:
-                                self._apply_offline_failures(rel, advance, runtimes)
-                                idled = advance - progressed
-                                if progressed:
-                                    progress += progressed
-                                    total_compute_slots += progressed
-                                    record.computation_slots += progressed
-                                if idled:
-                                    total_idle_slots += idled
-                                    record.idle_slots += idled
-                                slot += advance
-                                states_dirty = True
-                                if tracer is not None:
-                                    tracer.accumulate(
-                                        "engine.fast_forward",
-                                        begin,
-                                        counters={"advance": advance},
-                                        heuristic=heuristic_name,
-                                    )
-                        else:
-                            advance, clean = self._scan_uneventful(
-                                rel,
-                                enrolled_ids,
-                                workload - progress if all_up else _IDLE_SCAN_LIMIT,
-                            )
-                            if advance > 0:
-                                self._apply_offline_failures(rel, advance, runtimes)
-                                if all_up:
-                                    progress += advance
-                                    total_compute_slots += advance
-                                    record.computation_slots += advance
-                                else:
-                                    total_idle_slots += advance
-                                    record.idle_slots += advance
-                                slot += advance
-                                states_dirty = not clean
-                                if tracer is not None:
-                                    tracer.accumulate(
-                                        "engine.fast_forward",
-                                        begin,
-                                        counters={"advance": advance},
-                                        heuristic=heuristic_name,
-                                    )
+                        # Jump straight over UP/RECLAIMED flicker to the
+                        # first enrolled DOWN transition, the iteration's
+                        # completing slot, or the block end — whichever
+                        # comes first — splitting the consumed span into
+                        # compute (all-UP) and idle columns.
+                        advance, progressed = compute_span(
+                            self._block,
+                            enrolled_ids,
+                            rel,
+                            self._block_len,
+                            workload - progress,
+                        )
+                        if advance > 0:
+                            self._apply_offline_failures(rel, advance, runtimes)
+                            idled = advance - progressed
+                            if progressed:
+                                progress += progressed
+                                total_compute_slots += progressed
+                                record.computation_slots += progressed
+                            if idled:
+                                total_idle_slots += idled
+                                record.idle_slots += idled
+                            slot += advance
+                            states_dirty = True
+                            if tracer is not None:
+                                tracer.accumulate(
+                                    "engine.fast_forward",
+                                    begin,
+                                    counters={"advance": advance},
+                                    heuristic=heuristic_name,
+                                )
             if collector is not None:
                 # ``slot`` is now the last slot this loop pass covered
                 # (fast-forward branches advance it past the entry slot).
@@ -907,7 +806,6 @@ class SimulationEngine:
                 "engine.run",
                 run_begin,
                 heuristic=heuristic_name,
-                sampler=self.sampler,
                 slots=makespan if success else self.max_slots,
                 success=success,
             )
@@ -929,48 +827,6 @@ class SimulationEngine:
         return self.last_result
 
     # ------------------------------------------------------------------
-    def _scan_uneventful(
-        self,
-        rel: int,
-        enrolled_ids: np.ndarray,
-        limit: int,
-    ) -> tuple:
-        """Slots after block-relative *rel* that provably replay this slot's outcome.
-
-        A subsequent slot is uneventful as long as every *enrolled* worker
-        holds exactly its current state: under the passive-scheduler
-        contract nothing else in the engine can change on such a slot, so
-        its bookkeeping is a pure repetition of the current slot's.
-        (Non-enrolled program holders crashing inside the window are handled
-        separately by :meth:`_apply_offline_failures` — they do not stop the
-        fast-forward.)
-
-        Returns ``(advance, clean)`` where *clean* says whether the skipped
-        slots all carried a column identical to the current one (so the
-        engine's column-change shortcut stays valid after the jump).
-
-        The scan never crosses the prefetched block boundary and is capped
-        at *limit* slots (the completing slot of an iteration, which has
-        extra bookkeeping, is always left to the per-slot path; idle
-        stretches are re-scanned every :data:`_IDLE_SCAN_LIMIT` slots).
-        """
-        span = min(self._block_len - rel - 1, limit - 1)
-        if span <= 0:
-            return 0, True
-        # Fast path: the whole-platform column is frozen for long enough.
-        frozen = self._frozen_run(rel)
-        if frozen >= span:
-            return span, True
-        block = self._block
-        column = block[:, rel]
-        window = block[:, rel + 1: rel + 1 + span]
-        uneventful = np.all(
-            window[enrolled_ids] == column[enrolled_ids, None], axis=0
-        )
-        eventful = np.flatnonzero(~uneventful)
-        advance = int(eventful[0]) if eventful.size else int(uneventful.size)
-        return advance, advance <= frozen
-
     def _apply_offline_failures(
         self, rel: int, advance: int, runtimes: Sequence[WorkerRuntime]
     ) -> None:
@@ -1047,7 +903,6 @@ def simulate(
     trace: Optional[AvailabilityTrace] = None,
     analysis: Optional[AnalysisContext] = None,
     block_size: int = DEFAULT_BLOCK_SIZE,
-    sampler: str = "block",
     record_events: bool = False,
     record_activity: bool = False,
     metrics=None,
@@ -1063,7 +918,6 @@ def simulate(
         trace=trace,
         analysis=analysis,
         block_size=block_size,
-        sampler=sampler,
         record_events=record_events,
         record_activity=record_activity,
         metrics=metrics,

@@ -70,9 +70,9 @@ class SharedBlockSource:
         When absent, windows are sampled from the platform's availability
         models using the engine's per-worker stream recipe
         (:func:`~repro.utils.rng.derive_run_streams`), which makes the
-        realisation bit-identical to a solo ``sampler="block"`` /
-        ``sampler="kernel"`` engine run with the same *seed* — those
-        samplers consume availability in exactly these aligned windows.
+        realisation bit-identical to a solo engine run with the same
+        *seed* — the engine consumes availability in exactly these aligned
+        windows.
     seed:
         Seed of the sampled realisation (ignored when *trace* is given).
     block_size, max_slots:
@@ -243,10 +243,6 @@ class MultiHeuristicDriver:
         Optional replay trace handed to the :class:`SharedBlockSource`.
     analysis:
         Optional shared :class:`AnalysisContext` (built once otherwise).
-    sampler:
-        ``"kernel"`` (default) or ``"block"`` — the per-engine driver.
-        ``"perslot"`` is rejected: the legacy driver resamples per slot and
-        cannot share blocks.
     metrics:
         Optional sequence of per-scheduler
         :class:`~repro.metrics.collector.MetricsCollector` instances (or
@@ -275,17 +271,11 @@ class MultiHeuristicDriver:
         trace: Optional[AvailabilityTrace] = None,
         analysis: Optional[AnalysisContext] = None,
         block_size: int = DEFAULT_BLOCK_SIZE,
-        sampler: str = "kernel",
         metrics: Optional[Sequence] = None,
         tracer=None,
     ) -> None:
         if not schedulers:
             raise SimulationError("MultiHeuristicDriver needs at least one scheduler")
-        if sampler not in ("block", "kernel"):
-            raise SimulationError(
-                f"unknown sampler {sampler!r} for a multi-heuristic pass; "
-                "available samplers: block, kernel"
-            )
         if metrics is not None and len(metrics) != len(schedulers):
             raise SimulationError(
                 f"metrics must provide one collector per scheduler "
@@ -308,7 +298,6 @@ class MultiHeuristicDriver:
                 max_slots=max_slots,
                 analysis=self.analysis,
                 block_size=block_size,
-                sampler=sampler,
                 shared_blocks=self.source,
                 metrics=metrics[index] if metrics is not None else None,
                 tracer=tracer,

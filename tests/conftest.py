@@ -10,6 +10,8 @@ from repro.availability import MarkovAvailabilityModel
 from repro.availability.generators import paper_transition_matrix
 from repro.platform import Platform, PlatformSpec, Processor, paper_platform, uniform_platform
 
+from tests.oracle import perslot_oracle  # noqa: F401  (shared fixture)
+
 
 @pytest.fixture
 def reliable_model() -> MarkovAvailabilityModel:

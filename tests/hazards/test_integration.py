@@ -2,10 +2,10 @@
 
 Pins the ISSUE's acceptance bar: a hazard-bearing run is bit-identical
 between the solo engine, the one-pass :class:`MultiHeuristicDriver` and the
-experiment layer's trace-bank replay; across the block / kernel / perslot
-samplers; and the PR 7 metrics plumbing observes the overlays (pool dips
-hitting whole domains in the same slot, Monte Carlo bands over a
-correlated-outage campaign).
+experiment layer's trace-bank replay; with fast-forward on and off and
+under the per-slot availability oracle; and the metrics plumbing observes
+the overlays (pool dips hitting whole domains in the same slot, Monte Carlo
+bands over a correlated-outage campaign).
 """
 
 import numpy as np
@@ -27,6 +27,8 @@ from repro.platform.builders import availability_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SimulationEngine
 
+from tests.oracle import assert_fast_forward_exact
+
 pytestmark = pytest.mark.slow
 
 MAX_SLOTS = 20_000
@@ -42,7 +44,8 @@ SUBSTRATES = [
 HEURISTICS = ["IE", "RANDOM", "IP"]
 
 #: api.run golden makespans (m=8, ncom=5, wmin=1, 10 workers, 5 iterations,
-#: seed 11, platform seed 3) — one per substrate family, every sampler.
+#: seed 11, platform seed 3) — one per substrate family, production engine
+#: and per-slot oracle alike.
 API_GOLDENS = [
     ("correlated(domains=3, rate=0.01, mean_outage=10)", 323),
     ({"kind": "churn", "mean_present": 200, "mean_absent": 80, "present0": 0.7}, 579),
@@ -74,7 +77,6 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
             seed=5,
             max_slots=MAX_SLOTS,
             analysis=analysis,
-            sampler="block",
         ).run()
         for name in HEURISTICS
     ]
@@ -86,7 +88,6 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
         [create_scheduler(name) for name in HEURISTICS],
         seed=5,
         max_slots=MAX_SLOTS,
-        sampler="block",
     ).run()
     assert shared == solo
 
@@ -106,10 +107,29 @@ def test_solo_driver_and_bank_replay_are_bit_identical(kind, params, golden):
     assert replayed == solo
 
 
+@pytest.mark.parametrize("kind,params", [(kind, params) for kind, params, _ in SUBSTRATES])
+@pytest.mark.parametrize("heuristic", HEURISTICS)
+def test_fast_forward_matches_slot_by_slot_run(kind, params, heuristic):
+    platform = hazard_platform(kind, params)
+    application = Application(tasks_per_iteration=6, iterations=8)
+    assert_fast_forward_exact(
+        lambda **options: SimulationEngine(
+            platform,
+            application,
+            create_scheduler(heuristic),
+            seed=5,
+            max_slots=MAX_SLOTS,
+            **options,
+        )
+    )
+
+
 @pytest.mark.parametrize("availability,golden", API_GOLDENS)
-def test_samplers_agree_on_every_substrate(availability, golden):
-    makespans = {
-        sampler: api.run(
+def test_engine_and_perslot_oracle_agree_on_every_substrate(
+    availability, golden, perslot_oracle
+):
+    def run():
+        return api.run(
             m=8,
             heuristic="IE",
             ncom=5,
@@ -119,11 +139,12 @@ def test_samplers_agree_on_every_substrate(availability, golden):
             seed=11,
             platform_seed=3,
             availability=availability,
-            sampler=sampler,
-        ).makespan
-        for sampler in ("block", "kernel", "perslot")
-    }
-    assert makespans == {"block": golden, "kernel": golden, "perslot": golden}
+        )
+
+    production = run()
+    with perslot_oracle(production.platform):
+        reference = run()
+    assert (production.makespan, reference.makespan) == (golden, golden)
 
 
 class TestMetricsUnderHazards:

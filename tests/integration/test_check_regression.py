@@ -254,14 +254,13 @@ class TestFingerprintWarnings:
 
 class TestCommittedSimulatorBaseline:
     def test_rows_fingerprint_and_aggregate_formula(self):
-        """Acceptance pins: kernel + multiheuristic rows are tracked, the
-        legacy mode is not, and the report carries a machine fingerprint."""
+        """Acceptance pins: exactly the kernel, multiheuristic and overhead
+        rows are tracked, and the report carries a machine fingerprint."""
         baseline = json.loads(
             (REPO_ROOT / "benchmarks" / "results" / "BENCH_simulator.json").read_text()
         )
         modes = {run["mode"] for run in baseline["runs"]}
-        assert {"perslot", "block", "kernel", "multiheuristic"} <= modes
-        assert "legacy" not in modes  # opt-in via --include-legacy, not gated
+        assert modes == {"kernel", "multiheuristic", "metrics_overhead", "telemetry_overhead"}
         machine = baseline["machine"]
         for field in ("cpu_model", "cpu_count", "python", "numpy", "numba",
                       "kernel_backend"):
@@ -271,8 +270,8 @@ class TestCommittedSimulatorBaseline:
         assert len(cell["heuristics"]) >= 8
         expected = len(cell["heuristics"]) * cell["slots"] / cell["wall_seconds"]
         assert abs(cell["slots_per_second"] - expected) < 1.0
-        # The one-pass cell must beat the per-heuristic block sweep.
-        for speedup in baseline["speedup_multiheuristic_over_block"].values():
+        # The one-pass cell must beat the per-heuristic engine sweep.
+        for speedup in baseline["speedup_multiheuristic_over_kernel"].values():
             assert speedup > 1.0
 
 

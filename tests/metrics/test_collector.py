@@ -16,15 +16,8 @@ from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import MultiHeuristicDriver, SimulationEngine
 
-from tests.simulation.test_golden_replay import GOLDEN_CASES, RESULT_FIELDS, run_case
-
-EXACT_SERIES = (
-    "pool_up",
-    "pool_down",
-    "active_workers",
-    "enrollment_churn",
-    "iterations_completed",
-)
+from tests.oracle import RESULT_FIELDS
+from tests.simulation.test_golden_replay import GOLDEN_CASES, run_case
 
 
 def make_engine(
@@ -34,7 +27,6 @@ def make_engine(
     max_slots=20_000,
     iterations=5,
     metrics=None,
-    sampler="kernel",
     record_activity=False,
 ):
     platform = paper_platform(
@@ -48,7 +40,6 @@ def make_engine(
         seed=seed,
         max_slots=max_slots,
         analysis=AnalysisContext(platform),
-        sampler=sampler,
         metrics=metrics,
         record_activity=record_activity,
     )
@@ -63,7 +54,7 @@ class TestBitIdentity:
     def test_collector_leaves_golden_results_unchanged(self, case):
         """Scalar results with a live collector match the golden seeds exactly."""
         collector = MetricsCollector()
-        result = run_case(case, sampler="kernel", metrics=collector)
+        result = run_case(case, metrics=collector)
         for field in RESULT_FIELDS:
             assert getattr(result, field) == case[field], field
         metrics = collector.result()
@@ -107,6 +98,17 @@ class TestSeriesSemantics:
         assert metrics.series["iterations_completed"][-1] == result.completed_iterations
         assert metrics.series["work_completed"][-1] == result.computation_slots
 
+    def test_series_match_perslot_oracle(self, perslot_oracle):
+        """Slot-by-slot model sampling yields the same blocks, so every
+        series — the interpolated ones too — is unchanged."""
+        collector = MetricsCollector(stride=32)
+        engine = make_engine(metrics=collector)
+        engine.run()
+        reference = MetricsCollector(stride=32)
+        with perslot_oracle(engine.platform):
+            make_engine(metrics=reference).run()
+        assert collector.result().series == reference.result().series
+
     def test_monotone_series(self):
         collector = MetricsCollector(stride=16)
         make_engine(metrics=collector).run()
@@ -114,20 +116,6 @@ class TestSeriesSemantics:
         for name in ("enrollment_churn", "iterations_completed", "work_completed"):
             values = metrics.series[name]
             assert all(b >= a for a, b in zip(values, values[1:])), name
-
-    def test_exact_series_are_sampler_invariant(self):
-        """The five exact series must agree across every engine driver; the
-        two interpolated ones may differ inside fast-forwarded spans."""
-        per_sampler = {}
-        for sampler in ("block", "perslot", "kernel"):
-            collector = MetricsCollector(stride=32)
-            make_engine(metrics=collector, sampler=sampler).run()
-            per_sampler[sampler] = collector.result()
-        reference = per_sampler["block"]
-        for other in (per_sampler["perslot"], per_sampler["kernel"]):
-            assert other.end_slot == reference.end_slot
-            for name in EXACT_SERIES:
-                assert other.series[name] == reference.series[name], name
 
 
 class TestLifecycle:

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+from repro.experiments.runner import run_campaign_spec
+from repro.experiments.spec import CampaignSpec
 from repro.service.worker import run_job
 
 from tests.service.conftest import tiny_spec_dict
@@ -106,6 +108,37 @@ def test_unknown_submission_field_is_422(client):
     status, payload = client.post_json("/campaigns", {"builtin": "smoke", "bogus": 1})
     assert status == 422
     assert "unknown submission fields ['bogus']" in payload["error"]
+
+
+def test_removed_sampler_field_is_422(client):
+    status, payload = client.post_json("/campaigns", {"builtin": "smoke", "sampler": "block"})
+    assert status == 422
+    assert "unknown submission fields ['sampler']" in payload["error"]
+
+
+def test_job_persisted_with_sampler_option_still_runs(service_state, client):
+    # Job documents written before the engine had a single driver carry a
+    # ``sampler`` option; the worker ignores it and the rows are unchanged.
+    spec = CampaignSpec.from_dict(tiny_spec_dict("persisted-sampler"))
+    job, _ = service_state.queue.submit(
+        spec,
+        options={
+            "sampler": "block",
+            "collect_metrics": None,
+            "metrics_stride": None,
+            "n_jobs": 1,
+            "max_cells": None,
+        },
+    )
+    assert run_job(service_state.queue.job_path(job["id"])) == 0
+    _, payload = client.get_json(f"/campaigns/{job['id']}")
+    assert payload["status"] == "completed"
+    _, cells = client.get_json(f"/campaigns/{job['id']}/cells")
+    fields = ("heuristic", "scenario_index", "trial_index", "success", "makespan",
+              "completed_iterations", "total_restarts", "total_configuration_changes")
+    assert [tuple(cell[name] for name in fields) for cell in cells["cells"]] == [
+        tuple(getattr(result, name) for name in fields) for result in run_campaign_spec(spec)
+    ]
 
 
 def test_unknown_spec_key_is_422(client):

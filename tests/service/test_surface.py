@@ -37,8 +37,8 @@ SERVICE_SURFACE = [
 
 SCHEMA_FIELDS = {
     "CampaignSubmission": [
-        "spec", "builtin", "spec_toml", "sampler", "collect_metrics",
-        "metrics_stride", "n_jobs", "max_cells",
+        "spec", "builtin", "spec_toml", "collect_metrics", "metrics_stride",
+        "n_jobs", "max_cells",
     ],
     "CampaignAccepted": [
         "id", "name", "status", "deduplicated", "total_cells", "location", "report",

@@ -1,13 +1,14 @@
 """Golden-seed regression tests for the chunked simulation core.
 
 ``golden_engine_results.json`` was generated with the pre-refactor engine
-(slot-by-slot ``next_state`` sampling, no fast-forwarding).  The refactored
-engine must reproduce every one of those runs bit for bit — under the
-vectorised block sampler, the legacy per-slot sampler, and any block size —
-because the block samplers are stream-equivalent and the fast-forward paths
-are exact.
+(slot-by-slot ``next_state`` sampling, no fast-forwarding).  The engine must
+reproduce every one of those runs bit for bit — with its vectorised model
+samplers, under the per-slot availability oracle, at any block size and with
+fast-forward turned off — because the block samplers are stream-equivalent
+and the span jumps are exact.
 """
 
+import functools
 import json
 from pathlib import Path
 
@@ -21,19 +22,10 @@ from repro.platform import Platform, PlatformSpec, Processor, paper_platform
 from repro.scheduling import create_scheduler
 from repro.simulation import SimulationEngine
 
+from tests.oracle import RESULT_FIELDS, assert_fast_forward_exact
+
 GOLDEN_PATH = Path(__file__).parent / "golden_engine_results.json"
 GOLDEN_CASES = json.loads(GOLDEN_PATH.read_text())
-
-RESULT_FIELDS = (
-    "success",
-    "makespan",
-    "completed_iterations",
-    "total_restarts",
-    "total_configuration_changes",
-    "communication_slots",
-    "computation_slots",
-    "idle_slots",
-)
 
 
 def build_setup(case):
@@ -67,20 +59,23 @@ def build_setup(case):
     return platform, application
 
 
-def run_case(case, *, sampler, block_size=4096, metrics=None):
+def make_engine(case, *, block_size=4096, metrics=None, record_events=False):
     platform, application = build_setup(case)
-    engine = SimulationEngine(
+    return SimulationEngine(
         platform,
         application,
         create_scheduler(case["heuristic"]),
         seed=case["seed"],
         max_slots=50_000,
         analysis=AnalysisContext(platform),
-        sampler=sampler,
         block_size=block_size,
         metrics=metrics,
+        record_events=record_events,
     )
-    return engine.run()
+
+
+def run_case(case, *, block_size=4096, metrics=None):
+    return make_engine(case, block_size=block_size, metrics=metrics).run()
 
 
 def case_id(case):
@@ -88,41 +83,43 @@ def case_id(case):
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
-def test_block_sampler_reproduces_golden_run(case):
-    result = run_case(case, sampler="block")
+def test_engine_reproduces_golden_run(case):
+    result = run_case(case)
     for field in RESULT_FIELDS:
         assert getattr(result, field) == case[field], field
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
-def test_perslot_sampler_reproduces_golden_run(case):
-    result = run_case(case, sampler="perslot")
+def test_perslot_oracle_reproduces_golden_run(case, perslot_oracle):
+    platform, _ = build_setup(case)
+    with perslot_oracle(platform):
+        result = run_case(case)
     for field in RESULT_FIELDS:
         assert getattr(result, field) == case[field], field
 
 
 @pytest.mark.parametrize("case", GOLDEN_CASES, ids=case_id)
-def test_kernel_sampler_reproduces_golden_run(case):
-    result = run_case(case, sampler="kernel")
-    for field in RESULT_FIELDS:
-        assert getattr(result, field) == case[field], field
+def test_fast_forward_matches_slot_by_slot_run(case):
+    """The span jumps change no result and no exact collector series."""
+    assert_fast_forward_exact(functools.partial(make_engine, case))
 
 
-@pytest.mark.parametrize("sampler", ["block", "kernel"])
 @pytest.mark.parametrize("block_size", [1, 17, 512])
-def test_block_size_does_not_change_results(block_size, sampler):
+def test_block_size_does_not_change_results(block_size):
     """The chunk decomposition is an implementation detail, not a parameter."""
     for case in GOLDEN_CASES[:6]:
-        result = run_case(case, sampler=sampler, block_size=block_size)
+        result = run_case(case, block_size=block_size)
         for field in RESULT_FIELDS:
             assert getattr(result, field) == case[field], (case_id(case), field)
 
 
 @pytest.mark.parametrize("heuristic", ["RANDOM", "IE", "Y-IE", "E-IAY", "THRESHOLD-IE"])
-def test_all_samplers_agree(heuristic):
+def test_engine_matches_perslot_oracle(heuristic, perslot_oracle):
     """Differential check on a fresh platform, including proactive heuristics."""
-    results = [run_case({"kind": "markov", "heuristic": heuristic, "seed": 1234},
-                        sampler=sampler) for sampler in ("block", "perslot", "kernel")]
-    for other in results[1:]:
-        for field in RESULT_FIELDS:
-            assert getattr(results[0], field) == getattr(other, field), field
+    case = {"kind": "markov", "heuristic": heuristic, "seed": 1234}
+    production = run_case(case)
+    platform, _ = build_setup(case)
+    with perslot_oracle(platform):
+        reference = run_case(case)
+    for field in RESULT_FIELDS:
+        assert getattr(production, field) == getattr(reference, field), field

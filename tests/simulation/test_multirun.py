@@ -19,6 +19,7 @@ from repro.application import Application
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
 from repro.experiments import CampaignScale
+from repro.experiments.scenarios import generate_scenarios
 from repro.experiments.runner import run_campaign
 from repro.platform import PlatformSpec, paper_platform
 from repro.scheduling import PASSIVE_HEURISTICS, create_scheduler
@@ -45,7 +46,7 @@ def golden_setup():
     return platform, Application(tasks_per_iteration=5, iterations=10)
 
 
-def sequential_results(platform, application, names, *, seed, sampler, trace=None):
+def sequential_results(platform, application, names, *, seed, trace=None):
     analysis = AnalysisContext(platform)
     results = []
     for name in names:
@@ -56,14 +57,13 @@ def sequential_results(platform, application, names, *, seed, sampler, trace=Non
             seed=seed,
             max_slots=MAX_SLOTS,
             analysis=analysis,
-            sampler=sampler,
             trace=trace,
         )
         results.append(engine.run())
     return results
 
 
-def one_pass_results(platform, application, names, *, seed, sampler, trace=None):
+def one_pass_results(platform, application, names, *, seed, trace=None):
     driver = MultiHeuristicDriver(
         platform,
         application,
@@ -71,7 +71,6 @@ def one_pass_results(platform, application, names, *, seed, sampler, trace=None)
         seed=seed,
         max_slots=MAX_SLOTS,
         trace=trace,
-        sampler=sampler,
     )
     results = driver.run()
     assert len(driver.wall_seconds) == len(names)
@@ -79,29 +78,21 @@ def one_pass_results(platform, application, names, *, seed, sampler, trace=None)
     return results
 
 
-@pytest.mark.parametrize("sampler", ["kernel", "block"])
 @pytest.mark.parametrize("seed", [7, 1234])
-def test_one_pass_bit_identical_to_sequential(sampler, seed):
+def test_one_pass_bit_identical_to_sequential(seed):
     platform, application = golden_setup()
-    solo = sequential_results(
-        platform, application, CONTRACT_HEURISTICS, seed=seed, sampler=sampler
-    )
-    shared = one_pass_results(
-        platform, application, CONTRACT_HEURISTICS, seed=seed, sampler=sampler
-    )
+    solo = sequential_results(platform, application, CONTRACT_HEURISTICS, seed=seed)
+    shared = one_pass_results(platform, application, CONTRACT_HEURISTICS, seed=seed)
     for name, expected, got in zip(CONTRACT_HEURISTICS, solo, shared):
         assert got == expected, name  # dataclass eq: every field + every record
 
 
-def test_one_pass_matches_block_sampler_sequential():
-    """The one-pass kernel realisation equals per-heuristic *block* runs."""
+def test_one_pass_matches_perslot_oracle_sequential(perslot_oracle):
+    """The one-pass realisation equals per-heuristic slot-by-slot sampled runs."""
     platform, application = golden_setup()
-    solo = sequential_results(
-        platform, application, CONTRACT_HEURISTICS, seed=7, sampler="block"
-    )
-    shared = one_pass_results(
-        platform, application, CONTRACT_HEURISTICS, seed=7, sampler="kernel"
-    )
+    with perslot_oracle(platform):
+        solo = sequential_results(platform, application, CONTRACT_HEURISTICS, seed=7)
+    shared = one_pass_results(platform, application, CONTRACT_HEURISTICS, seed=7)
     for name, expected, got in zip(CONTRACT_HEURISTICS, solo, shared):
         assert got == expected, name
 
@@ -119,17 +110,14 @@ def random_trace(num_processors, horizon, seed):
     return AvailabilityTrace(states)
 
 
-@pytest.mark.parametrize("sampler", ["kernel", "block"])
-def test_one_pass_trace_mode_bit_identical(sampler):
+def test_one_pass_trace_mode_bit_identical():
     platform, application = golden_setup()
     trace = random_trace(20, MAX_SLOTS, seed=99)
     solo = sequential_results(
-        platform, application, CONTRACT_HEURISTICS, seed=5, sampler=sampler,
-        trace=trace,
+        platform, application, CONTRACT_HEURISTICS, seed=5, trace=trace
     )
     shared = one_pass_results(
-        platform, application, CONTRACT_HEURISTICS, seed=5, sampler=sampler,
-        trace=trace,
+        platform, application, CONTRACT_HEURISTICS, seed=5, trace=trace
     )
     for name, expected, got in zip(CONTRACT_HEURISTICS, solo, shared):
         assert got == expected, name
@@ -140,16 +128,7 @@ def test_short_trace_raises_like_solo_engine():
     trace = random_trace(20, 64, seed=3)  # far too short for ten iterations
     with pytest.raises(SimulationError, match="provide a longer trace"):
         one_pass_results(
-            platform, application, ["IE", "IP"], seed=5, sampler="kernel",
-            trace=trace,
-        )
-
-
-def test_perslot_sampler_rejected():
-    platform, application = golden_setup()
-    with pytest.raises(SimulationError, match="available samplers: block, kernel"):
-        MultiHeuristicDriver(
-            platform, application, [create_scheduler("IE")], sampler="perslot"
+            platform, application, ["IE", "IP"], seed=5, trace=trace
         )
 
 
@@ -173,7 +152,7 @@ class TestSharedBlockSource:
         platform, application = golden_setup()
         engine = SimulationEngine(
             platform, application, create_scheduler("IE"), seed=11,
-            max_slots=2048, block_size=512, sampler="block",
+            max_slots=2048, block_size=512,
         )
         engine._fetch_block(0)
         source = SharedBlockSource(platform, seed=11, block_size=512, max_slots=2048)
@@ -256,16 +235,13 @@ class TestCampaignOnePassRouting:
         )
         assert _campaign_map(serial) == _campaign_map(parallel)
 
-    def test_block_sampler_campaign_matches_kernel(self):
-        kernel = run_campaign(
+    def test_campaign_matches_perslot_oracle(self, perslot_oracle):
+        production = run_campaign(
             4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
         )
-        block = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
-            sampler="block",
-        )
-        perslot = run_campaign(
-            4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
-            sampler="perslot",
-        )
-        assert _campaign_map(kernel) == _campaign_map(block) == _campaign_map(perslot)
+        platform = generate_scenarios(CAMPAIGN_SCALE, 4, campaign="s")[0].build_platform()
+        with perslot_oracle(platform):
+            reference = run_campaign(
+                4, heuristics=CAMPAIGN_HEURISTICS, scale=CAMPAIGN_SCALE, label="s",
+            )
+        assert _campaign_map(production) == _campaign_map(reference)

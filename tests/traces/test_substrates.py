@@ -4,7 +4,7 @@ Covers the acceptance criteria of the trace subsystem: one recorded dataset
 reachable three ways through the component grammar (bootstrap replay,
 fitted-Markov, fitted-semi-Markov), golden-seed reproducibility of a
 bootstrap-resampled campaign through spec -> store -> tables, and the
-block-sampler fast path agreeing with the per-slot driver on trace replay.
+block-sampler fast path agreeing with the per-slot oracle on trace replay.
 """
 
 import numpy as np
@@ -200,9 +200,11 @@ class TestGoldenCampaign:
 
 
 class TestSampleBlockDifferential:
-    """Trace replay through the block sampler equals the per-slot driver."""
+    """Trace replay through the block sampler equals the per-slot oracle."""
 
-    def test_engine_block_vs_perslot_on_bootstrap_substrate(self, example_traces_dir):
+    def test_engine_matches_perslot_oracle_on_bootstrap_substrate(
+        self, example_traces_dir, perslot_oracle
+    ):
         from repro.platform.builders import PlatformSpec, availability_platform
         from repro.scheduling.registry import create_scheduler
 
@@ -211,21 +213,22 @@ class TestSampleBlockDifferential:
             path=str(example_traces_dir / "desktop_week.csv"),
             slot=900, block=96,
         )
-        results = {}
-        for sampler in ("block", "perslot"):
-            factory = model_factory_for(spec)
+
+        def run():
             platform = availability_platform(
                 PlatformSpec(num_processors=8, ncom=5, wmin=1),
-                num_tasks=4, seed=42, model_factory=factory,
+                num_tasks=4, seed=42, model_factory=model_factory_for(spec),
             )
-            engine = SimulationEngine(
+            result = SimulationEngine(
                 platform,
                 Application(tasks_per_iteration=4, iterations=3),
                 create_scheduler("IE"),
                 seed=17,
                 max_slots=30_000,
-                sampler=sampler,
-            )
-            result = engine.run()
-            results[sampler] = (result.makespan, result.completed_iterations, result.success)
-        assert results["block"] == results["perslot"]
+            ).run()
+            return platform, (result.makespan, result.completed_iterations, result.success)
+
+        platform, production = run()
+        with perslot_oracle(platform):
+            _, reference = run()
+        assert production == reference
