@@ -21,13 +21,18 @@ either comes from the processors' stochastic models or from a fixed
 
 Performance model
 -----------------
-Availability is consumed in *blocks*: worker states are prefetched into an
-``(m, block_size)`` ``int8`` matrix through the models'
+Availability is consumed in aligned *windows* of ``block_size`` slots, read
+from a :class:`~repro.simulation.blocks.SharedBlockSource`: a solo engine
+builds a private one from its ``trace``/``seed``/``block_size``/``max_slots``,
+and the engines of a :class:`~repro.simulation.multirun.MultiHeuristicDriver`
+pass share one.  The source samples each window as an ``(m, block_size)``
+``int8`` matrix through the models'
 :meth:`~repro.availability.model.AvailabilityModel.sample_block` vectorised
-samplers (or by slicing the replay trace).  Because every worker owns an
-independent generator stream, block sampling consumes exactly the same draws
-as slot-by-slot ``next_state`` sampling, so fixed seeds reproduce the same
-trajectories bit for bit.
+samplers (or slices the replay trace) and derives its per-column companions
+once.  Because every worker owns an independent generator stream, block
+sampling consumes exactly the same draws as slot-by-slot ``next_state``
+sampling, so fixed seeds reproduce the same trajectories bit for bit.  An
+engine simulates once: the run consumes the streams.
 
 Schedulers whose :attr:`~repro.scheduling.base.Scheduler.passive_between_rebuilds`
 flag is set (they return the carried-over configuration whenever
@@ -69,6 +74,11 @@ from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform.platform import Platform
 from repro.scheduling.base import Observation, Scheduler
+from repro.simulation.blocks import (
+    DEFAULT_BLOCK_SIZE,
+    DEFAULT_MAX_SLOTS,
+    SharedBlockSource,
+)
 from repro.simulation.comm import CommunicationManager
 from repro.simulation.events import EventKind, EventLog
 from repro.simulation.kernels import (
@@ -80,7 +90,7 @@ from repro.simulation.kernels import (
 from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
 from repro.telemetry.tracer import active_tracer
-from repro.types import DOWN, RECLAIMED, UP, ProcessorState
+from repro.types import DOWN, RECLAIMED, UP
 from repro.utils.rng import SeedLike, derive_run_streams
 
 __all__ = ["SimulationEngine", "simulate", "BLOCK_BOUNDARY"]
@@ -90,12 +100,6 @@ __all__ = ["SimulationEngine", "simulate", "BLOCK_BOUNDARY"]
 #: driver can interleave engines block by block (see
 #: :mod:`repro.simulation.multirun`).  Never yielded by :meth:`run`.
 BLOCK_BOUNDARY = object()
-
-#: Default makespan cap, matching the paper's 1,000,000-slot limit.
-DEFAULT_MAX_SLOTS = 1_000_000
-
-#: Default number of slots prefetched per availability block.
-DEFAULT_BLOCK_SIZE = 4096
 
 #: Activity codes recorded per worker per slot when ``record_activity`` is on.
 ACTIVITY_NONE = " "
@@ -121,29 +125,32 @@ class SimulationEngine:
     seed:
         Seed for all stochastic elements of the run (availability sampling
         and scheduler tie-breaking).  Ignored for availability when *trace*
-        is given.
+        or *shared_blocks* is given.
     max_slots:
         Makespan cap; the run is declared failed when it is reached.
     trace:
         Optional fixed availability source to replay instead of sampling
         from the processors' models: an :class:`AvailabilityTrace` or any
         object exposing ``num_processors``, ``horizon`` and
-        ``block(start, stop)``.  Must cover at least ``max_slots`` slots or
-        the run fails with :class:`SimulationError` when it runs off the
-        end.
+        ``block(start, stop)``.  Handed to the engine's private
+        :class:`~repro.simulation.blocks.SharedBlockSource`, which checks it.
+        Must cover at least ``max_slots`` slots or the run fails with
+        :class:`SimulationError` when it runs off the end.
     analysis:
         Optional pre-built :class:`AnalysisContext`; sharing one across runs
         on the same platform (different schedulers / trials) avoids
         recomputing the Markov machinery.
     block_size:
-        Number of slots of worker states prefetched per availability block.
+        Number of slots of worker states prefetched per availability window.
     shared_blocks:
-        Optional :class:`~repro.simulation.multirun.SharedBlockSource`
-        serving aligned availability windows (with their derived masks and
-        tables) computed once and shared by several engines simulating the
-        same realisation.  Internal to
-        :class:`~repro.simulation.multirun.MultiHeuristicDriver`; mutually
-        exclusive with *trace* (the source owns the availability).
+        Optional :class:`~repro.simulation.blocks.SharedBlockSource` read
+        instead of a private one, so several engines simulating the same
+        realisation share its windows.  Internal to
+        :class:`~repro.simulation.multirun.MultiHeuristicDriver`, which
+        advances its engines in lockstep: each engine releases the windows
+        behind the one it installs.  Mutually exclusive with *trace* (the
+        source owns the availability); its block size and slot cap must
+        match the engine's.
     record_events:
         Keep a structured event log (off by default).  Turns every span
         jump off, so each slot is processed one by one.
@@ -184,19 +191,25 @@ class SimulationEngine:
     ) -> None:
         if max_slots < 1:
             raise SimulationError(f"max_slots must be >= 1, got {max_slots}")
-        if block_size < 1:
-            raise SimulationError(f"block_size must be >= 1, got {block_size}")
         if shared_blocks is not None and trace is not None:
             raise SimulationError(
                 "shared_blocks and trace are mutually exclusive; give the "
                 "trace to the SharedBlockSource instead"
             )
         platform.validate_for_tasks(application.tasks_per_iteration)
-        if trace is not None and trace.num_processors != platform.num_processors:
-            raise SimulationError(
-                f"trace has {trace.num_processors} processors but the platform has "
-                f"{platform.num_processors}"
+        if shared_blocks is None:
+            # A solo run reads a private source, which also validates the
+            # trace and derives every stream of the run from *seed* at once.
+            shared_blocks = SharedBlockSource(
+                platform,
+                trace=trace,
+                seed=seed,
+                block_size=block_size,
+                max_slots=max_slots,
             )
+            self._scheduler_rng = shared_blocks._scheduler_rng
+        else:
+            _, self._scheduler_rng = derive_run_streams(seed, platform.num_processors)
         self.platform = platform
         self.application = application
         self.scheduler = scheduler
@@ -208,36 +221,15 @@ class SimulationEngine:
         self.record_activity = bool(record_activity)
         self.metrics = metrics
         self.tracer = active_tracer(tracer)
-        self._shared_blocks = shared_blocks
-        #: Result of the most recently completed run (also the
-        #: ``StopIteration`` value of an exhausted :meth:`steps` iterator).
+        self._source = shared_blocks
+        self._driven = False
+        #: Result of the run once it completes (also the ``StopIteration``
+        #: value of an exhausted :meth:`steps` iterator).
         self.last_result: Optional[SimulationResult] = None
-
-        # Independent streams: one per worker for availability, one for the
-        # scheduler.  The recipe lives in utils.rng so the experiment layer
-        # can rebuild the exact availability realisation of a seed.  A
-        # platform-level hazard overlay gets its own master stream — an
-        # additional SeedSequence child, so the worker and scheduler streams
-        # (and every hazard-free run) are unaffected.
-        self._hazard = platform.hazard if trace is None and shared_blocks is None else None
-        if self._hazard is not None:
-            (
-                self._availability_rngs,
-                self._scheduler_rng,
-                self._hazard_rng,
-            ) = derive_run_streams(seed, platform.num_processors, hazard=True)
-        else:
-            self._availability_rngs, self._scheduler_rng = derive_run_streams(
-                seed, platform.num_processors
-            )
-            self._hazard_rng = None
 
         self._comm = CommunicationManager(platform.ncom)
         self._runtimes: List[WorkerRuntime] = []
         self._block: Optional[np.ndarray] = None
-        # Raw (pre-overlay) last column of the previous window: what the
-        # base availability chains continue from when a hazard is active.
-        self._base_last_column: Optional[np.ndarray] = None
         self._block_start = 0
         self._block_len = 0
         # Per-block companions, computed once per prefetch so the per-slot
@@ -256,93 +248,24 @@ class SimulationEngine:
     # Availability driving (chunked prefetch)
     # ------------------------------------------------------------------
     def _fetch_block(self, start: int) -> None:
-        """Materialise worker states for slots ``[start, start + block)``."""
-        tracer = self.tracer
-        if tracer is None:
-            return self._fetch_block_impl(start)
-        begin = time.perf_counter_ns()
-        self._fetch_block_impl(start)
-        tracer.accumulate(
-            "engine.block_fetch",
-            begin,
-            counters={"slots": self._block_len},
-            heuristic=self.scheduler.name,
-        )
+        """Install the source window containing slot *start*.
 
-    def _fetch_block_impl(self, start: int) -> None:
-        if self._shared_blocks is not None:
-            # The source serves aligned windows shared by every engine of a
-            # multi-heuristic pass; the window containing *start* may begin
-            # earlier (the caller recomputes the block-relative offset).
-            window_start, data = self._shared_blocks.window(start)
-            self._install_block(window_start, data)
-            return
-        if self.trace is not None:
-            horizon = self.trace.horizon
-            if horizon < 1:
-                raise SimulationError("availability trace is empty")
-            if start >= horizon:
-                raise SimulationError(
-                    f"availability trace ends at slot {horizon} but the run "
-                    f"reached slot {start}; provide a longer trace or lower max_slots"
-                )
-            length = min(self.block_size, horizon - start, self.max_slots - start)
-            block = np.asarray(self.trace.block(start, start + length), dtype=np.int8)
-            if block.shape != (self.platform.num_processors, length):
-                raise SimulationError(
-                    f"availability source returned a block of shape {block.shape}, "
-                    f"expected {(self.platform.num_processors, length)}"
-                )
-        else:
-            if self._block is not None and start != self._block_start + self._block_len:
-                raise SimulationError(
-                    "model-driven availability must be consumed sequentially "
-                    f"(asked for slot {start}, expected "
-                    f"{self._block_start + self._block_len})"
-                )
-            length = min(self.block_size, self.max_slots - start)
-            block = np.empty((self.platform.num_processors, length), dtype=np.int8)
-            if start == 0:
-                for worker_id, processor in enumerate(self.platform.processors):
-                    model = processor.availability
-                    model.reset()
-                    rng = self._availability_rngs[worker_id]
-                    state = model.initial_state(rng)
-                    block[worker_id, 0] = int(state)
-                    if length > 1:
-                        block[worker_id, 1:] = model.sample_block(
-                            1, length - 1, rng, current=state
-                        )
-            else:
-                # The base chains continue from the *raw* sampled states: a
-                # hazard overlay is an exogenous forcing that does not alter
-                # the workers' intrinsic processes.  This also keeps the
-                # realisation independent of window boundaries (the bank
-                # trace chunks differently), so every consumption path stays
-                # bit-identical.
-                previous = (
-                    self._base_last_column
-                    if self._hazard is not None
-                    else self._block[:, -1]
-                )
-                for worker_id, processor in enumerate(self.platform.processors):
-                    block[worker_id] = processor.availability.sample_block(
-                        start,
-                        length,
-                        self._availability_rngs[worker_id],
-                        current=ProcessorState(int(previous[worker_id])),
-                    )
-            if self._hazard is not None:
-                # Platform-level overlay (correlated outages, churn): applied
-                # once per freshly sampled window, before the per-column
-                # companions are derived, so schedulers, kernels and metrics
-                # all see the overlaid states.
-                if start == 0:
-                    self._hazard.reset(self._hazard_rng)
-                self._base_last_column = block[:, -1].copy()
-                self._hazard.overlay(start, block)
-        last_column = None if self._block is None else self._block[:, -1]
-        self._install_block(start, BlockData(block, last_column))
+        Windows behind it are released: a solo engine never looks back, and
+        a lockstep pass keeps every live engine on the same window index.
+        """
+        tracer = self.tracer
+        begin = time.perf_counter_ns() if tracer is not None else 0
+        source = self._source
+        window_start, data = source.window(start)
+        source.release_below(window_start)
+        self._install_block(window_start, data)
+        if tracer is not None:
+            tracer.accumulate(
+                "engine.block_fetch",
+                begin,
+                counters={"slots": self._block_len},
+                heuristic=self.scheduler.name,
+            )
 
     def _install_block(self, start: int, data: BlockData) -> None:
         self._block = data.block
@@ -352,9 +275,8 @@ class SimulationEngine:
         self._block_same = data.same
         self._block_data = data
         if self.metrics is not None:
-            # Every availability block of a run funnels through here (model
-            # sampling, trace replay and shared windows alike), so this is
-            # where the collector sees exact pool states.
+            # Every availability window of a run funnels through here, so
+            # this is where the collector sees exact pool states.
             self.metrics.on_block(start, data.block)
 
     # ------------------------------------------------------------------
@@ -365,6 +287,8 @@ class SimulationEngine:
 
         Equivalent to driving :meth:`steps` with the engine's scheduler:
         every yielded observation is answered with ``scheduler.select``.
+        An engine simulates once: a second :meth:`run` or :meth:`steps`
+        raises :class:`SimulationError`.
         """
         stepper = self._drive()
         select = self.scheduler.select
@@ -400,6 +324,17 @@ class SimulationEngine:
     def _drive(
         self, cooperative: bool = False
     ) -> Generator[Observation, Optional[Configuration], SimulationResult]:
+        if self._driven:
+            raise SimulationError(
+                "an engine simulates once: its availability streams are "
+                "consumed; build a new SimulationEngine for another run"
+            )
+        self._driven = True
+        return self._simulate(cooperative)
+
+    def _simulate(
+        self, cooperative: bool
+    ) -> Generator[Observation, Optional[Configuration], SimulationResult]:
         platform = self.platform
         application = self.application
         tprog, tdata = platform.tprog, platform.tdata
@@ -411,9 +346,6 @@ class SimulationEngine:
         self._runtimes = [WorkerRuntime(worker_id=q) for q in range(platform.num_processors)]
         runtimes = self._runtimes
         runtime_by_id = {runtime.worker_id: runtime for runtime in runtimes}
-        self._block = None
-        self._block_start = 0
-        self._block_len = 0
 
         collector = self.metrics
         if collector is not None:

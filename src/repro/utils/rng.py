@@ -74,7 +74,7 @@ def derive_run_streams(seed: SeedLike, num_workers: int, *, hazard: bool = False
     Returns ``(availability_streams, scheduler_stream)``: one independent
     generator per worker plus one for the scheduler, all derived
     deterministically from *seed*.  This recipe is shared by the simulation
-    engine and the experiment trace bank — anything that needs to reproduce
+    block source and the experiment trace bank — anything that needs to reproduce
     the exact availability realisation of a run for a given seed must derive
     its streams through this function.
 

@@ -8,9 +8,12 @@ from repro.availability import AvailabilityTrace, MarkovAvailabilityModel
 from repro.availability.generators import paper_transition_matrix
 from repro.exceptions import SchedulingError, SimulationError
 from repro.platform import Platform, Processor, uniform_platform
+from repro.scheduling import create_scheduler
 from repro.scheduling.base import Observation, Scheduler
-from repro.simulation import SimulationEngine, simulate
+from repro.simulation import SharedBlockSource, SimulationEngine, simulate
 from repro.simulation.events import EventKind
+
+from tests.simulation.test_multirun import correlated_setup, golden_setup
 
 
 class StaticScheduler(Scheduler):
@@ -215,6 +218,16 @@ class TestEngineValidation:
         with pytest.raises(Exception):
             SimulationEngine(platform, application, StaticScheduler({0: 3}))
 
+    def test_trace_and_shared_blocks_are_exclusive(self):
+        platform = uniform_platform(1, tprog=0, tdata=0)
+        application = Application(tasks_per_iteration=1, iterations=1)
+        with pytest.raises(SimulationError, match="mutually exclusive"):
+            SimulationEngine(
+                platform, application, StaticScheduler({0: 1}),
+                trace=AvailabilityTrace(["uu"]),
+                shared_blocks=SharedBlockSource(platform, seed=0),
+            )
+
     def test_invalid_max_slots(self):
         platform = uniform_platform(1, tprog=0, tdata=0)
         application = Application(tasks_per_iteration=1, iterations=1)
@@ -308,3 +321,53 @@ class TestDeterminismAndPairing:
             window = min(30, engine.state_matrix.shape[1])
             makespans[name + "_states"] = engine.state_matrix[:, :window].tolist()
         assert makespans["RANDOM_states"] == makespans["IE_states"]
+
+
+class TestRunOnce:
+    """An engine consumes its run streams; a second run must not resample."""
+
+    @pytest.mark.parametrize("block_size", [4096, 64], ids=["one-window", "multi-window"])
+    @pytest.mark.parametrize("heuristic,makespan", [("IE", 1061), ("RANDOM", 4088)])
+    def test_second_run_raises(self, block_size, heuristic, makespan):
+        platform, application = golden_setup()
+        engine = SimulationEngine(
+            platform, application, create_scheduler(heuristic),
+            seed=5, max_slots=20_000, block_size=block_size,
+        )
+        first = engine.run()
+        assert first.makespan == makespan
+        with pytest.raises(SimulationError, match="simulates once"):
+            engine.run()
+        with pytest.raises(SimulationError, match="simulates once"):
+            engine.steps()
+        assert engine.last_result == first
+
+    def test_solo_run_keeps_one_window(self):
+        platform, application = golden_setup()
+        engine = SimulationEngine(
+            platform, application, create_scheduler("IE"),
+            seed=5, max_slots=20_000, block_size=256,
+        )
+        assert engine.run().makespan == 1061  # five windows
+        assert len(engine._source._windows) <= 1
+
+
+@pytest.mark.parametrize("setup", [golden_setup, correlated_setup])
+@pytest.mark.parametrize("heuristic", ["IE", "RANDOM"])
+def test_run_streams_are_derived_once(setup, heuristic):
+    """A Generator or SeedSequence seed names the same run as its int seed.
+
+    The engine and its private block source must not each draw from a
+    Generator seed: the streams of a run are derived from it exactly once.
+    """
+    platform, application = setup()
+    results = [
+        simulate(
+            platform, application, create_scheduler(heuristic),
+            seed=seed, max_slots=20_000,
+        )
+        for seed in (5, np.random.default_rng(5), np.random.SeedSequence(5))
+    ]
+    assert results[0].success
+    assert results[1] == results[0]
+    assert results[2] == results[0]

@@ -16,12 +16,14 @@ import pytest
 
 from repro.analysis.cache import AnalysisContext
 from repro.application import Application
+from repro.availability.registry import model_factory_for
 from repro.availability.trace import AvailabilityTrace
 from repro.exceptions import SimulationError
 from repro.experiments import CampaignScale
-from repro.experiments.scenarios import generate_scenarios
-from repro.experiments.runner import run_campaign
+from repro.experiments.scenarios import AvailabilitySpec, generate_scenarios
+from repro.experiments.runner import TraceBank, run_campaign
 from repro.platform import PlatformSpec, paper_platform
+from repro.platform.builders import availability_platform
 from repro.scheduling import PASSIVE_HEURISTICS, create_scheduler
 from repro.simulation import MultiHeuristicDriver, SharedBlockSource, SimulationEngine
 
@@ -44,6 +46,21 @@ def golden_setup():
         PlatformSpec(num_processors=20, ncom=10, wmin=2), num_tasks=5, seed=123
     )
     return platform, Application(tasks_per_iteration=5, iterations=10)
+
+
+def correlated_setup():
+    """12 Markov workers under correlated domain outages (a hazard substrate)."""
+    spec = AvailabilitySpec(
+        kind="correlated",
+        parameters=(("domains", 3), ("mean_outage", 12), ("rate", 0.005)),
+    )
+    platform = availability_platform(
+        PlatformSpec(num_processors=12, ncom=6, wmin=1),
+        num_tasks=6,
+        seed=99,
+        model_factory=model_factory_for(spec),
+    )
+    return platform, Application(tasks_per_iteration=6, iterations=8)
 
 
 def sequential_results(platform, application, names, *, seed, trace=None):
@@ -132,6 +149,23 @@ def test_short_trace_raises_like_solo_engine():
         )
 
 
+def test_lockstep_pass_keeps_one_window_and_runs_once():
+    platform, application = golden_setup()
+    driver = MultiHeuristicDriver(
+        platform,
+        application,
+        [create_scheduler(name) for name in ("IE", "RANDOM", "IP")],
+        seed=5,
+        max_slots=MAX_SLOTS,
+        block_size=256,
+    )
+    results = driver.run()
+    assert max(result.makespan for result in results) > 3 * 256
+    assert len(driver.source._windows) <= 1
+    with pytest.raises(SimulationError, match="simulates once"):
+        driver.run()
+
+
 def test_empty_scheduler_list_rejected():
     platform, application = golden_setup()
     with pytest.raises(SimulationError, match="at least one scheduler"):
@@ -148,21 +182,29 @@ class TestSharedBlockSource:
         again_start, again = source.window(256)
         assert again_start == start and again is data  # same object, not a copy
 
-    def test_model_mode_matches_solo_engine_blocks(self):
-        platform, application = golden_setup()
-        engine = SimulationEngine(
-            platform, application, create_scheduler("IE"), seed=11,
-            max_slots=2048, block_size=512,
+    @pytest.mark.parametrize("block_size", [1, 17, 512])
+    @pytest.mark.parametrize("substrate", ["markov", "correlated"])
+    def test_windows_match_trace_bank_slices(self, substrate, block_size):
+        """The two remaining generators of a realisation agree slot for slot.
+
+        The bank samples in 4096-slot chunks; sizes 1 and 17 put window
+        boundaries off that grid, 512 on it.
+        """
+        setup = golden_setup if substrate == "markov" else correlated_setup
+        platform, _ = setup()
+        horizon = 4096 + 600
+        bank = TraceBank(platform, horizon=horizon).trace_for(11)
+        # Materialise the whole bank first: both generators drive the same
+        # model and hazard objects, which must not interleave.
+        bank.block(0, horizon)
+        source = SharedBlockSource(
+            platform, seed=11, block_size=block_size, max_slots=horizon
         )
-        engine._fetch_block(0)
-        source = SharedBlockSource(platform, seed=11, block_size=512, max_slots=2048)
-        _, data = source.window(0)
-        assert np.array_equal(data.block, engine._block)
-        _, later = source.window(1536)
-        engine._fetch_block(512)
-        engine._fetch_block(1024)
-        engine._fetch_block(1536)
-        assert np.array_equal(later.block, engine._block)
+        for start in range(0, horizon, block_size):
+            window_start, data = source.window(start)
+            stop = window_start + data.length
+            assert window_start == start and stop == min(start + block_size, horizon)
+            assert np.array_equal(data.block, bank.block(start, stop))
 
     def test_release_below_frees_and_rejects_stale_windows(self):
         platform, _ = golden_setup()
