@@ -17,7 +17,8 @@ trajectory is tracked across PRs (and gated by ``check_regression.py``):
   caches (the steady state of a long simulation);
 * ``incremental_allocation_m10`` — full greedy ``m = 10`` allocations over
   20 UP workers, the per-slot cost of a proactive heuristic's candidate
-  construction.
+  construction (the production allocator only: it has one evaluation path,
+  so this case has no scalar row and no speed-up entry).
 
 Run directly for the JSON report::
 
@@ -171,7 +172,8 @@ def _measure_case(case: str, variant: str, runner, ops: int, repeats: int) -> di
 
 
 def measure_throughput(num_sets: int = NUM_SETS, repeats: int = 5) -> dict:
-    """Measure scalar vs batched analysis throughput; return the JSON report."""
+    """Measure analysis throughput (scalar vs batched group quantities, and
+    the production allocator); return the JSON report."""
     workers = [WorkerAnalysis(model) for model in random_markov_models(POOL_WORKERS, seed=3)]
     sets = _frontier_sets(num_sets)
     # Warm every per-worker series cache first so both variants measure the
@@ -218,35 +220,22 @@ def measure_throughput(num_sets: int = NUM_SETS, repeats: int = 5) -> dict:
     up_workers = list(range(platform.num_processors))
     allocations = 50
 
-    def allocation_runner(batched: bool):
-        context = AnalysisContext(platform)
-        allocator = IncrementalAllocator(
-            get_criterion("E"), context, platform, num_tasks=10, batched=batched
-        )
-
-        def run():
-            for _ in range(allocations):
-                allocator.allocate(up_workers)
-
-        return run
-
-    runs.append(
-        _measure_case(
-            "incremental_allocation_m10", "scalar", allocation_runner(False),
-            allocations, repeats,
-        )
+    allocator = IncrementalAllocator(
+        get_criterion("E"), AnalysisContext(platform), platform, num_tasks=10
     )
+
+    def allocate():
+        for _ in range(allocations):
+            allocator.allocate(up_workers)
+
     runs.append(
-        _measure_case(
-            "incremental_allocation_m10", "batch", allocation_runner(True),
-            allocations, repeats,
-        )
+        _measure_case("incremental_allocation_m10", "batch", allocate, allocations, repeats)
     )
 
     by_key = {(run["case"], run["variant"]): run["ops_per_second"] for run in runs}
     speedups = {
         case: round(by_key[(case, "batch")] / by_key[(case, "scalar")], 2)
-        for case in sorted({run["case"] for run in runs})
+        for case in sorted({case for case, variant in by_key if variant == "scalar"})
     }
     return {
         "benchmark": "analysis_throughput",
@@ -285,7 +274,6 @@ def test_throughput_report(benchmark, tmp_path):
     assert set(report["speedup_batch_over_scalar"]) == {
         "group_quantities_cold_8of20",
         "group_quantities_warm_8of20",
-        "incremental_allocation_m10",
     }
 
 

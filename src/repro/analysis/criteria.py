@@ -53,6 +53,10 @@ class Criterion(abc.ABC):
     #: constraint of Section VI-B (a configuration's score must not degrade
     #: as it accumulates progress).
     proactive_safe: bool = True
+    #: Whether the value depends on the time already spent in the iteration
+    #: (``elapsed``).  A greedy allocation under a criterion that does not is
+    #: a function of the worker states alone, so it can be memoised.
+    reads_elapsed: bool = False
 
     @abc.abstractmethod
     def value(self, estimate: "ConfigurationEstimate") -> float:
@@ -111,6 +115,7 @@ class YieldCriterion(Criterion):
     name = "Y"
     higher_is_better = True
     proactive_safe = True
+    reads_elapsed = True
 
     def value(self, estimate: "ConfigurationEstimate") -> float:
         return estimate.yield_value

@@ -15,6 +15,10 @@ optimises the heuristic's criterion:
 Workers that survived a failure and stay enrolled can reuse the task data
 they already received (the engine applies the corresponding retention rule),
 so the rebuild is evaluated with the observation's ``data_received``.
+
+Every rebuild, and every proactive candidate built on top of a passive
+heuristic, goes through one
+:class:`~repro.scheduling.allocation.IncrementalAllocator`.
 """
 
 from __future__ import annotations
@@ -38,27 +42,14 @@ PASSIVE_CRITERION_BY_NAME = {
 
 
 class PassiveHeuristic(Scheduler):
-    """A passive heuristic defined by its incremental selection criterion.
-
-    ``batched=True`` (the default) routes the incremental allocator through
-    the frontier-at-a-time batched analysis path; ``batched=False`` keeps the
-    original per-candidate loop.  Both paths select identical configurations
-    (see :class:`~repro.scheduling.allocation.IncrementalAllocator`).
-    """
+    """A passive heuristic defined by its incremental selection criterion."""
 
     passive_between_rebuilds = True
 
-    def __init__(
-        self,
-        criterion: Criterion,
-        name: Optional[str] = None,
-        *,
-        batched: bool = True,
-    ) -> None:
+    def __init__(self, criterion: Criterion, name: Optional[str] = None) -> None:
         super().__init__()
         self.criterion = criterion
         self.name = name or f"I{criterion.name}"
-        self.batched = bool(batched)
         self._allocator: Optional[IncrementalAllocator] = None
 
     # ------------------------------------------------------------------
@@ -69,7 +60,6 @@ class PassiveHeuristic(Scheduler):
             analysis,
             platform,
             application.tasks_per_iteration,
-            batched=self.batched,
         )
 
     def reset(self) -> None:
@@ -119,7 +109,7 @@ class PassiveHeuristic(Scheduler):
         )
 
 
-def make_passive_heuristic(name: str, *, batched: bool = True) -> PassiveHeuristic:
+def make_passive_heuristic(name: str) -> PassiveHeuristic:
     """Instantiate one of IP / IE / IY / IAY by name (case-insensitive)."""
     key = str(name).strip().upper()
     try:
@@ -129,4 +119,4 @@ def make_passive_heuristic(name: str, *, batched: bool = True) -> PassiveHeurist
             f"unknown passive heuristic {name!r}; expected one of "
             f"{sorted(PASSIVE_CRITERION_BY_NAME)}"
         ) from None
-    return PassiveHeuristic(get_criterion(criterion_name), name=key, batched=batched)
+    return PassiveHeuristic(get_criterion(criterion_name), name=key)

@@ -40,27 +40,24 @@ class ProactiveHeuristic(Scheduler):
         criterion: Criterion,
         passive: PassiveHeuristic,
         name: Optional[str] = None,
-        *,
-        allow_unsafe_criterion: bool = False,
     ) -> None:
         super().__init__()
-        if not criterion.proactive_safe and not allow_unsafe_criterion:
+        if not criterion.proactive_safe:
             raise SchedulingError(
                 f"criterion {criterion.name!r} does not satisfy the proactive "
-                "anti-divergence constraint (Section VI-B); pass "
-                "allow_unsafe_criterion=True to experiment with it anyway"
+                "anti-divergence constraint (Section VI-B)"
             )
         self.criterion = criterion
         self.passive = passive
         self.name = name or f"{criterion.name}-{passive.name}"
         # The candidate configuration computed by the underlying passive
         # heuristic is a deterministic function of (UP workers, program
-        # holders) — and, for the yield-based selection criteria, of the
-        # elapsed iteration time.  When the selection criterion ignores the
-        # elapsed time (IP and IE) the candidate can be memoised exactly,
-        # which removes most of the per-slot cost of proactive heuristics.
+        # holders) — and, for the expected yield Y, of the elapsed iteration
+        # time.  When the selection criterion ignores the elapsed time (IP,
+        # IE and IAY) the candidate can be memoised exactly, which removes
+        # most of the per-slot cost of proactive heuristics.
         self._candidate_cache: dict = {}
-        self._candidate_cacheable = passive.criterion.name in ("P", "E")
+        self._candidate_cacheable = not passive.criterion.reads_elapsed
 
     # ------------------------------------------------------------------
     def bind(self, platform, application, analysis, rng) -> None:

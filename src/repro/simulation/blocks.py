@@ -12,6 +12,7 @@ realisation, bit for bit.
 
 from __future__ import annotations
 
+import copy
 from typing import Dict, Optional, Tuple
 
 import numpy as np
@@ -48,8 +49,9 @@ class SharedBlockSource:
         hazard overlay is applied to each window.
     seed:
         Seed of the run's streams.  The availability streams are ignored
-        when *trace* is given; the scheduler stream is what a solo engine
-        binds its scheduler to.
+        when *trace* is given; every engine reading the source binds its
+        scheduler to a copy of the scheduler stream
+        (:meth:`scheduler_stream`).
     block_size, max_slots:
         Window length and the last slot served.  Must match the parameters
         of every engine reading the source: window boundaries — and
@@ -103,6 +105,16 @@ class SharedBlockSource:
         )
 
     # ------------------------------------------------------------------
+    def scheduler_stream(self) -> np.random.Generator:
+        """A fresh copy of the run's scheduler stream, in its initial state.
+
+        Every engine reading the source gets an identical copy, so each
+        scheduler draws what it would draw in a solo run with the same seed,
+        whatever the kind of seed (a ``Generator`` seed is drawn from only
+        once, when the source derives the run's streams).
+        """
+        return copy.deepcopy(self._scheduler_rng)
+
     def window(self, slot: int) -> Tuple[int, BlockData]:
         """The aligned window containing *slot*: ``(window start, data)``.
 

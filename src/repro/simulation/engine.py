@@ -91,7 +91,7 @@ from repro.simulation.results import IterationRecord, SimulationResult
 from repro.simulation.state import WorkerRuntime
 from repro.telemetry.tracer import active_tracer
 from repro.types import DOWN, RECLAIMED, UP
-from repro.utils.rng import SeedLike, derive_run_streams
+from repro.utils.rng import SeedLike
 
 __all__ = ["SimulationEngine", "simulate", "BLOCK_BOUNDARY"]
 
@@ -125,7 +125,8 @@ class SimulationEngine:
     seed:
         Seed for all stochastic elements of the run (availability sampling
         and scheduler tie-breaking).  Ignored for availability when *trace*
-        or *shared_blocks* is given.
+        is given, and entirely when *shared_blocks* is given: the source
+        derives every stream of the run, scheduler stream included.
     max_slots:
         Makespan cap; the run is declared failed when it is reached.
     trace:
@@ -207,9 +208,7 @@ class SimulationEngine:
                 block_size=block_size,
                 max_slots=max_slots,
             )
-            self._scheduler_rng = shared_blocks._scheduler_rng
-        else:
-            _, self._scheduler_rng = derive_run_streams(seed, platform.num_processors)
+        self._scheduler_rng = shared_blocks.scheduler_stream()
         self.platform = platform
         self.application = application
         self.scheduler = scheduler

@@ -68,8 +68,10 @@ class MultiHeuristicDriver:
         the intended use (and what the experiment layer routes here) is a
         cell's worth of passive-contract heuristics.
     seed:
-        Per-engine run seed.  All engines get the same seed, so each result
-        is bit-identical to ``SimulationEngine(..., seed=seed).run()``.
+        Seed of the run's streams, derived once by the shared source, which
+        hands every engine the same scheduler stream.  Each result is
+        therefore bit-identical to ``SimulationEngine(..., seed=seed).run()``
+        (for a ``Generator`` seed: one in the same state).
     trace:
         Optional replay trace handed to the :class:`SharedBlockSource`.
     analysis:
@@ -125,7 +127,6 @@ class MultiHeuristicDriver:
                 platform,
                 application,
                 scheduler,
-                seed=seed,
                 max_slots=max_slots,
                 analysis=self.analysis,
                 block_size=block_size,

@@ -101,3 +101,9 @@ class TestRegistry:
         assert not ApparentYieldCriterion().proactive_safe
         for name in PROACTIVE_CRITERIA:
             assert get_criterion(name).proactive_safe
+
+    @pytest.mark.parametrize("name", ["P", "E", "Y", "AY"])
+    def test_reads_elapsed_iff_value_depends_on_elapsed(self, name):
+        criterion = get_criterion(name)
+        fresh, later = (criterion.value(make_estimate(elapsed=t)) for t in (0, 10))
+        assert (fresh != later) is criterion.reads_elapsed

@@ -58,12 +58,6 @@ class TestConstruction:
         with pytest.raises(SchedulingError):
             ProactiveHeuristic(get_criterion("AY"), make_passive_heuristic("IE"))
 
-    def test_unsafe_criterion_allowed_when_forced(self):
-        scheduler = ProactiveHeuristic(
-            get_criterion("AY"), make_passive_heuristic("IE"), allow_unsafe_criterion=True
-        )
-        assert scheduler.name == "AY-IE"
-
     def test_name(self):
         scheduler = ProactiveHeuristic(get_criterion("Y"), make_passive_heuristic("IAY"))
         assert scheduler.name == "Y-IAY"
@@ -149,6 +143,29 @@ class TestProactiveBehaviour:
         platform = make_platform()
         scheduler = bind(create_scheduler("E-IY"), platform)
         assert not scheduler._candidate_cacheable
+
+    def test_apparent_yield_candidate_built_once_across_elapsed(self):
+        """IAY's allocation never reads the elapsed time, so P-IAY builds one
+        candidate per (UP set, program holders), equal to an uncached build."""
+        platform = make_platform()
+        scheduler = bind(create_scheduler("P-IAY"), platform)
+        builds = []
+        build_candidate = scheduler.passive.build_candidate
+
+        def counting_build(observation):
+            builds.append(observation.iteration_elapsed)
+            return build_candidate(observation)
+
+        scheduler.passive.build_candidate = counting_build
+        for has_program in ((), (1,)):
+            for elapsed in (0, 3, 17, 250):
+                observation = make_observation(
+                    [UP, UP, DOWN, UP], current=Configuration({0: 5}),
+                    comm_remaining={0: 7}, elapsed=elapsed, has_program=has_program,
+                )
+                candidate = scheduler._candidate(observation)
+                assert candidate == build_candidate(observation)
+        assert builds == [0, 0]
 
     def test_cache_cleared_on_rebind(self):
         platform = make_platform()

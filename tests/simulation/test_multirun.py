@@ -104,6 +104,31 @@ def test_one_pass_bit_identical_to_sequential(seed):
         assert got == expected, name  # dataclass eq: every field + every record
 
 
+#: One seed of each accepted kind; called per run, so stateful seeds are fresh.
+SEED_KINDS = {
+    "int": lambda: 5,
+    "generator": lambda: np.random.default_rng(5),
+    "seed_sequence": lambda: np.random.SeedSequence(5),
+}
+
+
+@pytest.mark.parametrize("setup", [golden_setup, correlated_setup])
+@pytest.mark.parametrize("kind", sorted(SEED_KINDS))
+def test_one_pass_matches_solo_for_every_seed_kind(kind, setup):
+    """Every engine of a pass binds the scheduler stream a solo run binds:
+    a Generator seed is drawn from once per pass, not once per engine."""
+    platform, application = setup()
+    names = ["IE", "RANDOM", "STICKY"]
+    make_seed = SEED_KINDS[kind]
+    solo = [
+        sequential_results(platform, application, [name], seed=make_seed())[0]
+        for name in names
+    ]
+    shared = one_pass_results(platform, application, names, seed=make_seed())
+    for name, expected, got in zip(names, solo, shared):
+        assert got == expected, name
+
+
 def test_one_pass_matches_perslot_oracle_sequential(perslot_oracle):
     """The one-pass realisation equals per-heuristic slot-by-slot sampled runs."""
     platform, application = golden_setup()
